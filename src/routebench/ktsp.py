@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import GridDensity, PointSet, Route, cell_ids, route_length
 from .errors import CapacityError
-from .tsp import strip_two_opt
+from .tsp import _distance_matrix, _held_karp, _layers, _path_to, strip_two_opt
 
 __all__ = [
     "KtspResult",
@@ -144,13 +144,14 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     """Shortest open path through exactly k of the n points.
 
     k = 2 and k = 3 are solved in closed form for any n (closest pair,
-    best middle point); larger k runs a subset dynamic program and is
-    capped at n <= 12.
+    best middle point).  Larger k runs the Held-Karp dynamic program from
+    every start point up to paths of k points: time O(n^2 * 2^n), memory
+    n * 2^n float64 plus int8 (0.44 MB at n = 12); capped at n <= 12.  Among
+    paths of equal cost, the lowest-index predecessor wins at every step.
     """
     n = len(ps)
     _validate_k(k, n)
-    diff = ps.coords[:, None, :] - ps.coords[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
+    dist = _distance_matrix(ps)
 
     if k == 2:
         masked = dist + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
@@ -172,43 +173,12 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     if n > EXACT_KTSP_MAX_N:
         raise CapacityError(f"ktsp_exact supports at most {EXACT_KTSP_MAX_N} points for k >= 4, got {n}")
 
-    inf = math.inf
-    size = 1 << n
-    popcount = [bin(mask).count("1") for mask in range(size)]
-    cost = [dict() for _ in range(size)]
-    parent = [dict() for _ in range(size)]
-    for v in range(n):
-        cost[1 << v][v] = 0.0
-        parent[1 << v][v] = -1
-    best = inf
-    best_state = None
-    for mask in range(1, size):
-        pc = popcount[mask]
-        if pc > k or not cost[mask]:
-            continue
-        if pc == k:
-            for last, c in cost[mask].items():
-                if c < best:
-                    best = c
-                    best_state = (mask, last)
-            continue
-        for last, c in cost[mask].items():
-            drow = dist[last]
-            for nxt in range(n):
-                if mask & (1 << nxt):
-                    continue
-                nmask = mask | (1 << nxt)
-                nc = c + drow[nxt]
-                if nc < cost[nmask].get(nxt, inf):
-                    cost[nmask][nxt] = nc
-                    parent[nmask][nxt] = last
-    assert best_state is not None
-    order = []
-    mask, last = best_state
-    while last != -1:
-        order.append(last)
-        mask, last = mask ^ (1 << last), parent[mask][last]
-    order.reverse()
+    cost, parent = _held_karp(dist, np.zeros(n), k)
+    layer = _layers(n)[k]
+    # among ties the lowest mask, then the highest last point: of a path and
+    # its reverse at equal cost, the one starting at the lower index
+    flat = int(np.argmin(cost[layer][:, ::-1]))
+    order = _path_to(parent, int(layer[flat // n]), n - 1 - flat % n)
     route = Route(tuple(order), closed=False)
     return KtspResult(route, route_length(route, ps), 0, None)
 
@@ -219,8 +189,8 @@ def ktsp_rate(k: int, n: int, area: float) -> float:
         raise ValueError("k must be at least 2")
     if n < k:
         raise ValueError("n must be at least k")
-    if area <= 0:
-        raise ValueError("area must be positive")
+    if not (math.isfinite(area) and area > 0):
+        raise ValueError(f"area must be positive and finite, got {area}")
     exponent = 0.5 * (1.0 + 1.0 / (k - 1))
     return (k - 1) / n**exponent * math.sqrt(area)
 
@@ -235,10 +205,10 @@ def ktsp_tail_bound(k: int, n: int, area: float, threshold: float) -> float:
         raise ValueError("k must be at least 2")
     if n < k:
         raise ValueError("n must be at least k")
-    if area <= 0:
-        raise ValueError("area must be positive")
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not (math.isfinite(area) and area > 0):
+        raise ValueError(f"area must be positive and finite, got {area}")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be nonnegative and finite, got {threshold}")
     if threshold == 0:
         return 0.0
     log_bound = (

@@ -217,6 +217,18 @@ class TestRateAndTail:
         with pytest.raises(ValueError):
             ktsp_rate(3, 2, 1.0)
 
+    @pytest.mark.parametrize("area", [math.nan, math.inf, -math.inf])
+    def test_rate_rejects_non_finite_area(self, area):
+        with pytest.raises(ValueError):
+            ktsp_rate(4, 100, area)
+
+    @pytest.mark.parametrize("area, threshold", [
+        (1.0, math.nan), (1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1), (math.nan, 0.0),
+    ])
+    def test_tail_bound_rejects_non_finite_args(self, area, threshold):
+        with pytest.raises(ValueError):
+            ktsp_tail_bound(4, 100, area, threshold)
+
     def test_tail_bound_zero_threshold(self):
         assert ktsp_tail_bound(2, 10, 1.0, 0.0) == 0.0
 
