@@ -146,14 +146,14 @@ def fairness_lp(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
     targets = np.asarray(p, dtype=np.float64)
     P = pop.populations
     if targets.shape != (P,):
         raise ValueError(f"expected {P} target proportions")
-    if np.any(targets < 0) or abs(targets.sum() - 1.0) > 1e-9:
-        raise ValueError("target proportions must be nonnegative and sum to 1")
+    if not np.all(np.isfinite(targets)) or np.any(targets < 0) or abs(targets.sum() - 1.0) > 1e-9:
+        raise ValueError("target proportions must be finite, nonnegative and sum to 1")
 
     f = pop.total.cells
     supported = np.flatnonzero(f > 0)

@@ -52,6 +52,13 @@ class FleetSize:
     cost: float
 
 
+def _require_finite(**args: float) -> None:
+    """Raise ValueError naming the first argument that is NaN or infinite."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _trp_cost(m: float, c: float, w: float, N: float, b: float) -> float:
     per = N / m
     return c * m + b * per * per + w * per * math.sqrt(per)
@@ -64,6 +71,7 @@ def fleet_size_trp(c: float, w: float, N: int, b: float = 0.0) -> FleetSize:
     integer optimum is the better of its floor and ceiling; with a batching
     term b > 0 there is no closed form and the integers are scanned.
     """
+    _require_finite(c=c, w=w, N=N, b=b)
     if c <= 0 or w <= 0:
         raise ValueError("cost coefficients must be positive")
     if N < 1:
@@ -97,10 +105,11 @@ def sdd_dispatch_tsp(
     the orders accumulated per gap, truncated at the cutoff so a feasible
     plan carries exactly the lam * T_cutoff available orders.
     """
-    if lam <= 0 or a < 0 or T <= 0 or m < 1:
-        raise ValueError("parameters must be positive (a may be zero)")
     if T_cutoff is None:
         T_cutoff = T
+    _require_finite(lam=lam, a=a, T=T, m=m, T_cutoff=T_cutoff)
+    if lam <= 0 or a < 0 or T <= 0 or m < 1:
+        raise ValueError("parameters must be positive (a may be zero)")
     if T_cutoff > T:
         raise ValueError("the order cutoff cannot exceed the deadline")
 
@@ -138,6 +147,7 @@ def sdd_dispatch_trp(lam: float, a: float, N: float, m: int, T: float) -> Dispat
     Feasible when the last vehicle can finish by the deadline, that is when
     N/lam + a*sqrt(N/m) <= T; the slack of that inequality is reported.
     """
+    _require_finite(lam=lam, a=a, N=N, m=m, T=T)
     if lam <= 0 or a < 0 or N <= 0 or m < 1 or T <= 0:
         raise ValueError("parameters must be positive (a may be zero)")
     times = tuple(i * N / (m * lam) for i in range(1, m + 1))

@@ -3,12 +3,14 @@
 The serpentine strip tour is the workhorse used by every approximation
 scheme in this package: it is deterministic, runs in O(n log n), and its
 length is provably at most (2 sqrt(n) + 4) times the side of the bounding
-square.  The 2-opt pass improves it locally, and the subset dynamic program
-provides ground truth on small instances.
+square.  The 2-opt pass (neighbour lists, Or-opt and a don't-look queue)
+improves it locally, and the subset dynamic program provides ground truth
+on small instances.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -25,12 +27,30 @@ STRIP_SLACK = 4.0
 
 EXACT_TSP_MAX_N = 15
 
+# Candidate neighbours per point, and the longest segment an Or-opt move
+# relocates, in ``two_opt``.
+NEIGHBORS = 8
+OR_OPT_MAX = 3
+# Candidate lists: up to _SORT_MAX points, sort rows of the distance matrix
+# in Python; above, at most _KNN_BLOCK squared distances per numpy block.
+_SORT_MAX = 16
+_KNN_BLOCK = 1 << 12
+
 
 @dataclass(frozen=True)
 class TspResult:
+    """A closed tour and its length.
+
+    ``moves`` counts the improving moves that ``two_opt`` made and
+    ``cap_hit`` says whether its 50 * t move cap stopped it; both stay at
+    their defaults for the strip tour and the exact oracle.
+    """
+
     route: Route
     length: float
     method: str
+    moves: int = 0
+    cap_hit: bool = False
 
 
 def strip_tour(ps: PointSet) -> TspResult:
@@ -57,55 +77,309 @@ def strip_tour(ps: PointSet) -> TspResult:
     return TspResult(route, length, "strip")
 
 
+def _nearest(d2: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the k candidates of least squared distance ``d2``, in
+    (distance, index) order, and those distances; needs k < columns."""
+    r = np.arange(len(d2))[:, None]
+    part = np.argpartition(d2, (k - 1, k), axis=1)
+    sel = part[:, :k]
+    # a tie across the k-th place goes to the lower indices
+    for i in np.flatnonzero(d2[r[:, 0], part[:, k - 1]] == d2[r[:, 0], part[:, k]]):
+        sel[i] = np.lexsort((cand[i], d2[i]))[:k]
+    cand, d2 = cand[r, sel], d2[r, sel]
+    rank = np.lexsort((cand, d2), axis=1)
+    return cand[r, rank], d2[r, rank]
+
+
+def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -> np.ndarray:
+    """Fill the rows of ``nbr`` and ``d2s`` that a grid search settles, and
+    return the indices of the other rows.
+
+    Points are bucketed in a grid of about two per cell, and a point's
+    candidates are the points in the 5 x 5 cells around its own.  A row is
+    settled when its k-th distance is below the distance from the point to
+    the edge of those cells.  An input too crowded for the grid settles
+    none: one whose fullest cell holds more than 4k points, or at least
+    t / 25.
+    """
+    t = len(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    everyone = np.arange(t)
+    low = pts.min(axis=0)
+    span = float((pts.max(axis=0) - low).max())
+    if span == 0:
+        return everyone
+    g = math.isqrt(t // 2)  # grid cells per side
+    h = span / g
+    col = np.minimum(((x - low[0]) / h).astype(np.int64), g - 1)
+    row = np.minimum(((y - low[1]) / h).astype(np.int64), g - 1)
+    gp = g + 4  # two cells of empty padding on every side
+    cell = (row + 2) * gp + col + 2
+    fullest = int(np.bincount(cell).max())
+    width = 25 * fullest
+    if width >= t or fullest > 4 * k:  # the table below stays O(t * k)
+        return everyone
+    order = np.argsort(cell, kind="stable")
+    by_cell = cell[order]
+    table = np.full((gp * gp, fullest), -1)
+    table[by_cell, everyone - np.searchsorted(by_cell, by_cell)] = order
+    offsets = (np.arange(-2, 3)[:, None] * gp + np.arange(-2, 3)).ravel()
+    rows = max(1, _KNN_BLOCK // width)
+    for lo in range(0, t, rows):
+        hi = min(t, lo + rows)
+        cand = table[cell[lo:hi, None] + offsets].reshape(hi - lo, width)
+        d2 = (x[lo:hi, None] - x[cand]) ** 2 + (y[lo:hi, None] - y[cand]) ** 2
+        d2[(cand < 0) | (cand == everyone[lo:hi, None])] = np.inf
+        nbr[lo:hi], d2s[lo:hi] = _nearest(d2, cand, k)
+    # distance to the nearest edge of the 5 x 5 cells that faces other points
+    margin = np.minimum.reduce([
+        np.where(col > 2, x - (low[0] + (col - 2) * h), np.inf),
+        np.where(col < g - 3, low[0] + (col + 3) * h - x, np.inf),
+        np.where(row > 2, y - (low[1] + (row - 2) * h), np.inf),
+        np.where(row < g - 3, low[1] + (row + 3) * h - y, np.inf),
+    ]) - 1e-9 * h
+    return np.flatnonzero(d2s[:, -1] >= np.where(margin > 0, margin, 0.0) ** 2)
+
+
+def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tuple[int, float]]]]:
+    """The k nearest other points of each point: as an index array, and as
+    lists of (index, distance) pairs.
+
+    Neighbours run nearest first, ties to the lower index.  Up to
+    ``_SORT_MAX`` points, rows of the distance matrix are sorted in Python.
+    Above it a grid search settles most rows, and numpy sorts the others
+    against all points, in blocks of at most ``_KNN_BLOCK`` distances, so
+    memory is O(t * k) plus one bounded block.
+    """
+    t = len(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    if t <= _SORT_MAX:
+        d2 = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2
+        np.fill_diagonal(d2, np.inf)  # a point is not its own neighbour
+        rows = d2.tolist()
+        near = [sorted(range(t), key=row.__getitem__)[:k] for row in rows]
+        return np.array(near), [[(j, math.sqrt(row[j])) for j in js] for row, js in zip(rows, near)]
+
+    nbr = np.empty((t, k), dtype=np.int64)
+    d2s = np.empty((t, k))
+    todo = _grid_neighbors(pts, k, nbr, d2s)
+    rows = max(1, _KNN_BLOCK // t)
+    for lo in range(0, len(todo), rows):
+        part = todo[lo : lo + rows]
+        r = np.arange(len(part))[:, None]
+        d2 = (x[part, None] - x) ** 2 + (y[part, None] - y) ** 2
+        d2[r[:, 0], part] = np.inf
+        near = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        nbr[part], d2s[part] = near, d2[r, near]
+    return nbr, [list(zip(*row)) for row in zip(nbr.tolist(), np.sqrt(d2s).tolist())]
+
+
+def _reverse(tour: list[int], pos: list[int], u: int, v: int) -> None:
+    """Reverse the tour path that runs forward from u to v.
+
+    When that path is the longer side, the rest of the tour is reversed
+    instead: the same cycle, traversed the other way round.
+    """
+    t = len(tour)
+    i, j = pos[u], pos[v]
+    if 2 * ((j - i) % t + 1) > t:
+        i, j = (j + 1) % t, (i - 1) % t
+    if i <= j:
+        seg = tour[i : j + 1]
+        seg.reverse()
+        tour[i : j + 1] = seg
+        for p, c in enumerate(seg, i):
+            pos[c] = p
+    else:  # the path wraps past the end of the list
+        seg = tour[i:] + tour[: j + 1]
+        seg.reverse()
+        tour[i:], tour[: j + 1] = seg[: t - i], seg[t - i :]
+        for p, c in enumerate(seg, i - t):
+            pos[c] = p % t
+
+
+def _move2(tour: list[int], pos: list[int], a: int, b: int, c: int, d: int) -> None:
+    """Replace tour edges (a, b) and (c, d) by (a, c) and (b, d).
+
+    b follows a and d follows c in the same direction of travel.
+    """
+    if tour[(pos[a] + 1) % len(tour)] == b:
+        _reverse(tour, pos, b, c)
+    else:
+        _reverse(tour, pos, a, d)
+
+
+def _move_segment(tour: list[int], pos: list[int], p: int, s1: int, sk: int, n: int, c: int, e: int) -> None:
+    """Move the path s1 .. sk, which runs from after p to before n, into the
+    tour edge (c, e), with s1 next to c.  Done as two or three 2-opt moves."""
+    t = len(tour)
+    a = s1
+    # u, w: the edge (c, e) in the direction in which s1 follows p
+    same = (tour[(pos[p] + 1) % t] == s1) == (tour[(pos[c] + 1) % t] == e)
+    u, w = (c, e) if same else (e, c)
+    if w == p:  # view the tour in the other direction, so that u == n
+        p, s1, sk, n, u, w = n, sk, s1, p, w, u
+    _move2(tour, pos, p, s1, u, w)  # p u .. n sk .. s1 w
+    if u != n:
+        _move2(tour, pos, p, u, n, sk)  # p n .. u sk .. s1 w
+    if (u == c) != (sk == a):
+        _move2(tour, pos, u, sk, s1, w)  # p n .. u s1 .. sk w
+
+
+def _stale(tour: list[int], pos: list[int], nbr: np.ndarray, examined: list[int], touched: list[int]) -> list[int]:
+    """The points, in tour order, that a move may have changed since they
+    were last examined: those whose own edges, the edges within three tour
+    steps of them, or the edges of one of their candidates changed since."""
+    t = len(tour)
+    tour_a, touched_a = np.array(tour), np.array(touched)
+    ring = touched_a[np.concatenate([tour_a[-3:], tour_a, tour_a[:3]])]
+    latest = np.maximum.reduce([ring[j : j + t] for j in range(7)])[pos]
+    latest = np.maximum(latest, touched_a[nbr].max(axis=1))
+    return tour_a[(latest > np.array(examined))[tour_a]].tolist()
+
+
 def two_opt(ps: PointSet, start: Route) -> TspResult:
-    """First-improvement 2-opt on a closed route, capped at 50*n moves."""
+    """Neighbour-list 2-opt and Or-opt with a don't-look queue.
+
+    Each point gets its K = min(8, t - 1) nearest neighbours as candidates.
+    A FIFO queue holds the active points, at first every point in route
+    order.  A point a taken from the queue tries, in both directions of
+    travel:
+
+    - 2-opt: replace the edge from a to its tour neighbour b, and one edge
+      at a candidate c, by (a, c) plus the edge that closes the tour.  The
+      candidates are scanned nearest first until one is no closer than b.
+    - Or-opt: move the segment of 1-3 points that starts at a into an edge
+      at a candidate c, with a next to c, in either orientation.  The
+      candidates are scanned until one is no closer than what taking the
+      segment out saves.
+
+    The first move that shortens the tour by more than 1e-12 * max(1, side)
+    is made, and every endpoint of a changed edge is queued again.  When the
+    queue runs dry, each point whose own edges, those within three tour
+    steps, or those of its candidates changed since it was last examined is
+    queued once more.  So the search stops at a tour that none of these
+    moves improves, or after 50 * t moves; with t <= K + 1 that tour is
+    2-opt optimal.  The tour is a list plus a position array, and a move
+    reverses the shorter side of it.
+
+    The result starts at the first point of ``start`` and is never longer
+    than it; ``moves`` counts the moves made and ``cap_hit`` says whether the
+    cap stopped the search.
+    """
     if not start.closed:
         raise ValueError("two_opt expects a closed starting route")
-    order = list(start.order)
+    order = start.order
     t = len(order)
     if t < 4:
         return TspResult(start, route_length(start, ps), "strip+2opt")
 
-    pts = ps.coords[order].copy()
-    xs, ys = pts[:, 0], pts[:, 1]
-
-    def edge_lengths():
-        return np.hypot(xs - np.roll(xs, -1), ys - np.roll(ys, -1))
-
-    d_next = edge_lengths()
+    coords = ps.coords[list(order)]
+    pt = list(map(tuple, coords.tolist()))
+    nbr, cands = _neighbor_lists(coords, min(NEIGHBORS, t - 1))
+    dist = math.dist
     eps = 1e-12 * max(1.0, ps.square.side)
     cap = 50 * t
-    moves = 0
-    improved = True
-    while improved and moves < cap:
-        improved = False
-        i = 0
-        while i < t - 2 and moves < cap:
-            js = np.arange(i + 2, t)
-            delta = (
-                np.hypot(xs[i] - xs[js], ys[i] - ys[js])
-                + np.hypot(xs[i + 1] - xs[(js + 1) % t], ys[i + 1] - ys[(js + 1) % t])
-                - d_next[i]
-                - d_next[js]
-            )
-            hit = np.flatnonzero(delta < -eps)
-            if hit.size:
-                j = int(js[hit[0]])
-                order[i + 1 : j + 1] = order[i + 1 : j + 1][::-1]
-                xs[i + 1 : j + 1] = xs[i + 1 : j + 1][::-1]
-                ys[i + 1 : j + 1] = ys[i + 1 : j + 1][::-1]
-                d_next = edge_lengths()
-                moves += 1
-                improved = True
-                # re-scan the same row: the reversal may expose further moves
-            else:
-                i += 1
-    route = Route(tuple(order), closed=True)
-    return TspResult(route, route_length(route, ps), "strip+2opt")
+    # at least three points stay outside a segment; on four points every
+    # segment move is also a 2-opt move
+    max_seg = min(OR_OPT_MAX, t - 3) if t > 4 else 0
+    # tour[i + fwd] and tour[i + bwd] follow and precede position i, without wrapping
+    fwd, bwd = 1 - t, -1
+
+    tour = list(range(t))
+    pos = list(range(t))
+    queue = collections.deque(tour)
+    queued = [True] * t
+    examined = [-1] * t  # move count when a point was last examined
+    touched = [0] * t  # move count when a point's edges last changed
+    moves = filled_at = 0
+    while moves < cap:
+        if not queue:
+            if moves == filled_at:  # nothing changed since the queue was last filled
+                break
+            filled_at = moves
+            queue.extend(_stale(tour, pos, nbr, examined, touched))
+            if not queue:
+                break
+            for a in queue:
+                queued[a] = True
+        a = queue.popleft()
+        queued[a] = False
+        examined[a] = moves
+        pa = pt[a]
+        ia = pos[a]
+        near = cands[a]
+        ends = tour[ia + fwd], tour[ia + bwd]
+        gaps = dist(pa, pt[ends[0]]), dist(pa, pt[ends[1]])
+        changed = None
+        for nxt, b, g in zip((fwd, bwd), ends, gaps):
+            # 2-opt: (a, b), (c, d) -> (a, c), (b, d), where b follows a and d follows c
+            pb = pt[b]
+            for c, dac in near:
+                if dac >= g:
+                    break
+                d = tour[pos[c] + nxt]
+                if c != b and d != a and dac + dist(pb, pt[d]) - g - dist(pt[c], pt[d]) < -eps:
+                    _move2(tour, pos, a, b, c, d)
+                    changed = (a, b, c, d)
+                    break
+            if changed:
+                break
+        if not changed:
+            for nxt, prv, p, dpa in ((fwd, bwd, ends[1], gaps[1]), (bwd, fwd, ends[0], gaps[0])):
+                # Or-opt: the segment a .. y follows p and precedes n; it goes
+                # between c and its tour neighbour e, with a next to c
+                pp = pt[p]
+                seg = []
+                n = a
+                for _ in range(max_seg):
+                    y = n
+                    seg.append(y)
+                    n = tour[pos[y] + nxt]
+                    if y == a and nxt == bwd:  # a alone was tried going forward
+                        continue
+                    py = pt[y]
+                    gain = dpa + dist(py, pt[n]) - dist(pp, pt[n])
+                    for c, dac in near:
+                        if dac >= gain:
+                            break
+                        if c in seg:
+                            continue
+                        ic = pos[c]
+                        pc = pt[c]
+                        for e in (tour[ic + nxt], tour[ic + prv]):
+                            if e not in seg and dac + dist(py, pt[e]) - dist(pc, pt[e]) - gain < -eps:
+                                _move_segment(tour, pos, p, a, y, n, c, e)
+                                changed = (p, a, y, n, c, e)
+                                break
+                        if changed:
+                            break
+                    if changed:
+                        break
+                if changed:
+                    break
+        if changed:
+            moves += 1
+            for v in changed:
+                touched[v] = moves
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
+
+    if not moves:
+        return TspResult(start, route_length(start, ps), "strip+2opt")
+    k = pos[0]
+    route = Route(tuple(order[c] for c in tour[k:] + tour[:k]), closed=True)
+    length, start_length = route_length(route, ps), route_length(start, ps)
+    if length > start_length:  # rounding only: every move shortens the tour by more than eps
+        route, length = start, start_length
+    return TspResult(route, length, "strip+2opt", moves, moves == cap)
 
 
 def strip_two_opt(ps: PointSet) -> TspResult:
-    """Strip tour followed by the 2-opt polish."""
+    """Strip tour polished by :func:`two_opt`: neighbour-list 2-opt and
+    Or-opt (segments of 1-3 points) with K = 8 candidates, a don't-look
+    queue and a 50 * n move cap; ``moves`` and ``cap_hit`` report the polish."""
     return two_opt(ps, strip_tour(ps).route)
 
 

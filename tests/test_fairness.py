@@ -77,6 +77,18 @@ class TestFairnessLp:
             mix = fairness_lp(pop, 3, targets, 0.0)
             assert len(mix.support) <= pop.populations
 
+    @pytest.mark.parametrize("targets", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, -math.inf]])
+    def test_non_finite_targets_rejected(self, targets):
+        # NaN compared false against the sum-to-one tolerance, so a NaN
+        # target once came back with a feasible-looking q = [1, 0, 0, 0]
+        with pytest.raises(ValueError):
+            fairness_lp(SEGREGATED, 2, targets)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError):
+            fairness_lp(SEGREGATED, 2, [0.5, 0.5], epsilon)
+
     def test_sparse_support_with_tolerance(self):
         rng = np.random.default_rng(33)
         for _ in range(20):

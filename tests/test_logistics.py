@@ -133,3 +133,33 @@ class TestDispatchTrp:
         assert feas_m == sorted(feas_m)  # once feasible, stays feasible as m grows
         feas_T = [sdd_dispatch_trp(**base, m=4, T=t).feasible for t in np.linspace(10, 30, 15)]
         assert feas_T == sorted(feas_T)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("arg", ["c", "w", "N", "b"])
+def test_fleet_size_rejects_non_finite(arg, bad):
+    args = dict(c=1.0, w=1.0, N=32, b=0.0)
+    args[arg] = bad
+    with pytest.raises(ValueError, match=f"{arg} must be finite"):
+        fleet_size_trp(**args)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("arg", ["lam", "a", "T", "m", "T_cutoff"])
+def test_dispatch_tsp_rejects_non_finite(arg, bad):
+    args = dict(lam=1.0, a=1.0, T=6.0, m=3, T_cutoff=4.0)
+    args[arg] = bad
+    with pytest.raises(ValueError, match=f"{arg} must be finite"):
+        sdd_dispatch_tsp(**args)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("arg", ["lam", "a", "N", "m", "T"])
+def test_dispatch_trp_rejects_non_finite(arg, bad):
+    args = dict(lam=10.0, a=1.0, N=100.0, m=4, T=15.0)
+    args[arg] = bad
+    with pytest.raises(ValueError, match=f"{arg} must be finite"):
+        sdd_dispatch_trp(**args)

@@ -12,6 +12,7 @@ from routebench import (
     PointSet,
     RandomSeed,
     Route,
+    Square,
     route_length,
     sample_points,
     strip_tour,
@@ -19,6 +20,7 @@ from routebench import (
     tsp_exact,
     two_opt,
 )
+from routebench.tsp import NEIGHBORS, _neighbor_lists
 
 UNIT_CORNERS = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -121,6 +123,169 @@ class TestTwoOpt:
             if heur.length <= 1.25 * exact.length:
                 good += 1
         assert good >= 0.95 * trials
+
+
+# Mean strip + 2-opt tour length over fixed seeds, recorded (as float.hex)
+# from the first-improvement kernel that scanned all pairs, which the
+# neighbour-list kernel replaced: n -> (trials, mean of lengths)
+FULL_SCAN_MEANS = {
+    31: (40, "0x1.3309314d44dadp+2"),
+    500: (6, "0x1.314b5509b4979p+4"),
+    2000: (2, "0x1.31652ef646906p+5"),
+}
+
+
+def improving_two_opt_pairs(result, ps, tol=1e-9):
+    """Every pair of tour edges whose 2-opt exchange shortens the tour by more than tol."""
+    order = result.route.order
+    t = len(order)
+    pts = ps.coords[list(order)]
+
+    def d(i, j):
+        return math.dist(pts[i % t], pts[j % t])
+
+    return [
+        (i, j)
+        for i in range(t)
+        for j in range(i + 2, t)
+        if (j + 1) % t != i and d(i, j) + d(i + 1, j + 1) - d(i, i + 1) - d(j, j + 1) < -tol
+    ]
+
+
+def improving_candidate_moves(result, ps, tol=1e-9):
+    """The 2-opt moves of the kernel's neighbourhood that shorten the tour by
+    more than tol: (a, b), (c, d) -> (a, c), (b, d), where b follows a and d
+    follows c in one direction, c is among a's K nearest and closer to a
+    than b is."""
+    order = result.route.order
+    t = len(order)
+    pts = ps.coords[list(order)]
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    found = []
+    for a in range(t):
+        for c in np.lexsort((np.arange(t), d2[a]))[: min(NEIGHBORS, t - 1)]:
+            for s in (1, -1):
+                b, d = (a + s) % t, (c + s) % t
+                dab, dac = math.dist(pts[a], pts[b]), math.dist(pts[a], pts[c])
+                if c == b or d == a or dac >= dab:
+                    continue
+                if dac + math.dist(pts[b], pts[d]) - dab - math.dist(pts[c], pts[d]) < -tol:
+                    found.append((a, int(c), s))
+    return found
+
+
+class TestTwoOptKernel:
+    def test_move_counters(self):
+        ps = PointSet.from_points(UNIT_CORNERS)
+        kept = two_opt(ps, Route((0, 1, 2, 3), closed=True))
+        assert (kept.moves, kept.cap_hit) == (0, False)
+        fixed = two_opt(ps, Route((0, 2, 1, 3), closed=True))
+        assert fixed.moves >= 1 and not fixed.cap_hit
+        strip = strip_tour(ps)
+        assert (strip.moves, strip.cap_hit) == (0, False)
+        assert (tsp_exact(ps).moves, tsp_exact(ps).cap_hit) == (0, False)
+
+    def test_moves_within_cap(self):
+        d = GridDensity.uniform(1)
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(4, 200))
+            ps = sample_points(d, n, RandomSeed(604, trial))
+            # a random start needs many more moves than a strip tour
+            result = two_opt(ps, Route(tuple(rng.permutation(n)), closed=True))
+            assert 0 <= result.moves <= 50 * n
+            assert not result.cap_hit
+            assert sorted(result.route.order) == list(range(n))
+            assert result.length == pytest.approx(route_length(result.route, ps), rel=1e-12)
+
+    @pytest.mark.parametrize("n", sorted(FULL_SCAN_MEANS))
+    def test_mean_length_no_worse_than_full_scan(self, n):
+        trials, recorded = FULL_SCAN_MEANS[n]
+        d = GridDensity.uniform(1)
+        lengths = [strip_two_opt(sample_points(d, n, RandomSeed(710, n * 1000 + i))).length for i in range(trials)]
+        assert sum(lengths) / trials <= float.fromhex(recorded)
+
+    def test_no_improving_pair_when_lists_are_complete(self):
+        # with t <= K + 1 every other point is a candidate, so the result
+        # is 2-opt optimal
+        d = GridDensity.uniform(1)
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            n = int(rng.integers(4, NEIGHBORS + 2))
+            ps = sample_points(d, n, RandomSeed(605, trial))
+            result = two_opt(ps, Route(tuple(rng.permutation(n)), closed=True))
+            assert improving_two_opt_pairs(result, ps) == []
+
+    def test_no_improving_candidate_move(self):
+        # the search ends when no point finds a 2-opt move to a candidate
+        # nearer than its own tour neighbour, in either direction
+        d = GridDensity.uniform(1)
+        rng = np.random.default_rng(15)
+        for trial in range(6):
+            n = int(rng.integers(150, 400))
+            ps = sample_points(d, n, RandomSeed(608, trial))
+            result = two_opt(ps, Route(tuple(rng.permutation(n)), closed=True))
+            assert improving_candidate_moves(result, ps) == []
+
+    @pytest.mark.parametrize("n", [12, 60, 300])
+    def test_equivariant_under_translation_and_scaling(self, n):
+        ps = sample_points(GridDensity.uniform(1), n, RandomSeed(606, n))
+        square = Square((-3.5, 2.25), 8.0)
+        moved = PointSet(np.array(square.origin) + square.side * ps.coords, square)
+        start = strip_tour(ps).route
+        here, there = two_opt(ps, start), two_opt(moved, start)
+        assert here.route == there.route
+        assert there.length == pytest.approx(square.side * here.length, rel=1e-12)
+
+    def test_deterministic(self):
+        ps = sample_points(GridDensity.uniform(1), 400, RandomSeed(607))
+        copy = PointSet(ps.coords.copy(), ps.square)
+        first, second = strip_two_opt(ps), strip_two_opt(copy)
+        assert first.route.order == second.route.order
+        assert first.length == second.length
+        assert first.moves == second.moves
+
+    def test_lattice_ties(self):
+        # many equal distances: results stay deterministic valid tours, and
+        # some start reaches an optimal tour of the grid (20 unit steps)
+        pts = [(i / 4, j / 4) for i in range(5) for j in range(4)]
+        ps = PointSet.from_points(pts)
+        rng = np.random.default_rng(13)
+        starts = [Route(tuple(rng.permutation(len(pts))), closed=True) for _ in range(20)]
+        for start in starts:
+            result = two_opt(ps, start)
+            assert result.route == two_opt(ps, start).route
+            assert sorted(result.route.order) == list(range(len(pts)))
+            assert result.length <= route_length(start, ps) + 1e-12
+        assert min(two_opt(ps, s).length for s in starts) == pytest.approx(5.0)
+
+    def test_candidate_lists_match_brute_force(self):
+        rng = np.random.default_rng(14)
+        for trial in range(150):
+            t = int(rng.integers(4, 400))
+            kind = trial % 6
+            if kind == 0:
+                pts = rng.random((t, 2))
+            elif kind == 1:  # lattice: many ties and duplicates
+                pts = np.round(rng.random((t, 2)) * 5) / 5
+            elif kind == 2:  # half the points in one tight cluster
+                pts = np.vstack([rng.random((t // 2, 2)) * 0.01, rng.random((t - t // 2, 2))])
+            elif kind == 3:  # a thin strip
+                pts = rng.random((t, 2)) * [1.0, 0.001]
+            elif kind == 4:  # dense middle, sparse rim
+                pts = np.clip(rng.normal(0.5, 0.15, (t, 2)), 0.0, 1.0)
+            else:  # density falling across the square
+                pts = rng.random((t, 2)) ** [4.0, 1.0]
+            k = min(NEIGHBORS, t - 1)
+            nbr, cands = _neighbor_lists(pts, k)
+            d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+            np.fill_diagonal(d2, np.inf)
+            expected = np.lexsort((np.broadcast_to(np.arange(t), d2.shape), d2), axis=1)[:, :k].tolist()
+            assert nbr.tolist() == expected
+            for i, row in enumerate(cands):
+                assert [c for c, _ in row] == expected[i]
+                assert [dc for _, dc in row] == pytest.approx([math.dist(pts[i], pts[c]) for c, _ in row], rel=1e-15)
 
 
 class TestExactTour:
