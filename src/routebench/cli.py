@@ -12,24 +12,19 @@ thresholds, 1 on any error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import __version__
-from .core import (
-    RandomSeed,
-    density_from_json,
-    load_points_csv,
-    sample_points,
-    save_points_csv,
-)
+from .core import RandomSeed, load_points_csv, sample_points, save_points_csv
 from .fairness import (
     PopulationGridDensity,
     deterministic_fairness_ratio,
     fair_ktsp_sample,
     fairness_lp,
 )
-from .harness import EXPERIMENT_KINDS, ExperimentConfig, default_config, run_experiment
+from .harness import EXPERIMENT_KINDS, ExperimentConfig, default_config, resolve_density, run_experiment
 from .ktsp import ktsp_exact, ktsp_grid_scheme, ktsp_nonuniform_scheme
 from .logistics import fleet_size_trp, sdd_dispatch_trp, sdd_dispatch_tsp
 from .trp import trp_apriori_scheme, trp_exact
@@ -38,10 +33,9 @@ from .tsp import strip_tour, strip_two_opt, tsp_exact
 
 def _load_density(path: str):
     with open(path) as fh:
-        obj = json.load(fh)
-    if "layers" in obj:
-        return PopulationGridDensity.from_json(obj)
-    return density_from_json(obj)
+        spec = json.load(fh)
+    spec.setdefault("kind", "population" if "layers" in spec else "grid")
+    return resolve_density(spec)
 
 
 def _emit(obj: dict, args) -> None:
@@ -140,18 +134,18 @@ def _cmd_dispatch(args) -> int:
         params = {}
     get = lambda key, fallback: params.get(key, fallback)
     if args.mode == "fleet":
-        result = fleet_size_trp(get("c", args.c), get("w", args.w), int(get("N", args.N)), get("b", args.b))
+        result = fleet_size_trp(get("c", args.c), get("w", args.w), get("N", args.N), get("b", args.b))
         _emit({"m_real": result.m_real, "m_int": result.m_int, "cost": result.cost}, args)
         return 0
     if args.mode == "tsp":
         plan = sdd_dispatch_tsp(
             get("lambda", args.lam), get("a", args.a), get("T", args.T),
-            int(get("m", args.m)), get("T_cutoff", args.T_cutoff),
+            get("m", args.m), get("T_cutoff", args.T_cutoff),
         )
     else:
         plan = sdd_dispatch_trp(
             get("lambda", args.lam), get("a", args.a), get("N", args.N),
-            int(get("m", args.m)), get("T", args.T),
+            get("m", args.m), get("T", args.T),
         )
     _emit(plan.to_json(), args)
     return 0
@@ -165,18 +159,8 @@ def _cmd_experiment(args) -> int:
         cfg = default_config(args.kind)
     else:
         raise ValueError("provide --config or --kind")
-    overrides = {}
-    if args.out:
-        overrides["out_dir"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if overrides:
-        payload = cfg.canonical()
-        payload.update(overrides)
-        payload["out_dir"] = overrides.get("out_dir", getattr(cfg, "out_dir"))
-        cfg = ExperimentConfig.from_json(json.dumps(payload))
+    overrides = {"out_dir": args.out or None, "workers": args.workers, "master_seed": args.seed}
+    cfg = dataclasses.replace(cfg, **{key: val for key, val in overrides.items() if val is not None})
     report = run_experiment(cfg)
     for check in report.summary["checks"]:
         status = "PASS" if check["passed"] else "FAIL"

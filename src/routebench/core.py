@@ -75,10 +75,6 @@ class Square:
     def area(self) -> float:
         return self.side * self.side
 
-    def contains(self, x: float, y: float) -> bool:
-        ox, oy = self.origin
-        return ox <= x <= ox + self.side and oy <= y <= oy + self.side
-
     def cell(self, m: int, k: int) -> "Square":
         """Sub-square k (row-major, bottom row first) of the m x m partition."""
         if not 0 <= k < m * m:
@@ -137,9 +133,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    def point(self, i: int) -> Point:
-        return Point(float(self.coords[i, 0]), float(self.coords[i, 1]))
 
     def subset(self, indices: Sequence[int], square: Square | None = None) -> "PointSet":
         """Point set restricted to ``indices``, optionally with a tighter square."""
@@ -454,9 +447,15 @@ def density_to_json(d: GridDensity) -> dict:
     }
 
 
+def _square_from_json(obj: dict) -> Square:
+    """The ``{"origin", "side"}`` square of a density JSON object; unit when absent."""
+    sq = obj.get("square")
+    if sq is None:
+        return UNIT_SQUARE
+    return Square((float(sq["origin"][0]), float(sq["origin"][1])), float(sq["side"]))
+
+
 def density_from_json(obj: dict | str) -> GridDensity:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    sq = obj.get("square", {"origin": [0.0, 0.0], "side": 1.0})
-    square = Square((float(sq["origin"][0]), float(sq["origin"][1])), float(sq["side"]))
-    return GridDensity(int(obj["m"]), np.asarray(obj["cells"], dtype=np.float64), square)
+    return GridDensity(int(obj["m"]), np.asarray(obj["cells"], dtype=np.float64), _square_from_json(obj))

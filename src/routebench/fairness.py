@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridDensity, PointSet, RandomSeed, Route, Square, cell_ids, route_length, sample_points
+from .core import _square_from_json
 from .errors import InfeasibleError
 from .ktsp import KtspResult, ktsp_grid_scheme, ktsp_nonuniform_scheme
 
@@ -89,9 +90,7 @@ class PopulationGridDensity:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PopulationGridDensity":
-        sq = obj.get("square", {"origin": [0.0, 0.0], "side": 1.0})
-        square = Square((float(sq["origin"][0]), float(sq["origin"][1])), float(sq["side"]))
-        return cls(int(obj["m"]), np.asarray(obj["layers"], dtype=np.float64), square)
+        return cls(int(obj["m"]), np.asarray(obj["layers"], dtype=np.float64), _square_from_json(obj))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,29 +6,31 @@ reruns are byte-identical regardless of worker count or grid order.  Raw
 trial values land in a fixed-schema CSV; a summary JSON carries means,
 standard errors, log-log rate fits and pass/fail checks against the
 configured thresholds.
+
+Each experiment kind is one entry of ``_KINDS``: its trial function, its
+summary checks, its default thresholds and config, whether it takes a k
+grid, and optional steps that validate a config and that run once before
+the trials.  Adding a kind means adding one entry.  A config is checked
+against its entry when it is built, so an unknown threshold key or a k the
+kind cannot run raises ``ValueError`` there, not inside a worker.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    GridDensity,
-    RandomSeed,
-    Square,
-    sample_points,
-    stable_stream,
-)
+from .core import GridDensity, RandomSeed, _square_from_json, density_from_json, sample_points, stable_stream
 from .fairness import FairnessMix, PopulationGridDensity, fair_ktsp_sample, fairness_lp
-from .ktsp import ktsp_exact, ktsp_grid_scheme, ktsp_rate, ktsp_tail_bound
+from .ktsp import EXACT_KTSP_MAX_N, ktsp_exact, ktsp_grid_scheme, ktsp_rate, ktsp_tail_bound
 from .trp import trp_apriori_scheme, trp_factor_check
 from .tsp import strip_tour
 
@@ -42,17 +44,7 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-EXPERIMENT_KINDS = ("ktsp-rate", "trp-rate", "tail-dominance", "fairness-audit", "trp-factor")
-
 CSV_COLUMNS = ("experiment", "n", "k", "trial", "seed", "value")
-
-_DEFAULT_THRESHOLDS = {
-    "ktsp-rate": {"slope_tol": 0.10, "naive_factor": 0.8},
-    "trp-rate": {"slope_min": 1.4, "slope_max": 1.6},
-    "trp-factor": {"ratio_max": 2.5, "min_fraction": 0.95},
-    "tail-dominance": {"se_multiplier": 3.0},
-    "fairness-audit": {"se_multiplier": 3.0},
-}
 
 
 @dataclass(frozen=True)
@@ -94,10 +86,17 @@ def fit_loglog_slope(samples: Sequence[tuple[float, float]]) -> RateFit:
 # ---------------------------------------------------------------------------
 # Configuration
 
+_SCALAR_CASTS = (("trials", int), ("master_seed", int), ("workers", int), ("alpha_points", int), ("epsilon", float))
+_TUPLE_CASTS = (("n_grid", int), ("k_grid", int), ("targets", float))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment run."""
+    """Everything needed to reproduce one experiment run.
+
+    Counts are coerced to int and ``epsilon`` to float, so a config built in
+    code hashes like the same config read back from its JSON.
+    """
 
     experiment: str
     density: dict
@@ -113,18 +112,28 @@ class ExperimentConfig:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.experiment!r}")
+        kind = _kind(self.experiment)
+        for name, cast in _SCALAR_CASTS:
+            object.__setattr__(self, name, cast(getattr(self, name)))
+        for name, cast in _TUPLE_CASTS:
+            object.__setattr__(self, name, tuple(cast(v) for v in getattr(self, name)))
+        unknown = sorted(set(self.thresholds) - set(kind.thresholds))
+        if unknown:
+            raise ValueError(f"unknown {self.experiment} thresholds {unknown}; known: {sorted(kind.thresholds)}")
+        object.__setattr__(self, "thresholds", {**kind.thresholds, **self.thresholds})
         if not self.n_grid or self.trials < 1:
             raise ValueError("n_grid must be nonempty and trials >= 1")
-        if self.experiment in ("ktsp-rate", "tail-dominance", "fairness-audit") and not self.k_grid:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not kind.needs_k:
+            if self.k_grid:
+                raise ValueError(f"{self.experiment} takes no k grid")
+        elif not self.k_grid:
             raise ValueError(f"{self.experiment} needs a k grid")
-        merged = dict(_DEFAULT_THRESHOLDS[self.experiment])
-        merged.update(self.thresholds)
-        object.__setattr__(self, "thresholds", merged)
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
-        object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
+        elif not all(2 <= k <= min(self.n_grid) for k in self.k_grid):
+            raise ValueError(f"every k must lie in [2, min(n_grid) = {min(self.n_grid)}], got {self.k_grid}")
+        if kind.validate is not None:
+            kind.validate(self)
 
     def canonical(self) -> dict:
         return {
@@ -149,72 +158,223 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict | str) -> "ExperimentConfig":
+        """Config from a JSON object; absent optional fields take their defaults."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return cls(
-            experiment=obj["experiment"],
-            density=obj["density"],
-            n_grid=tuple(obj["n_grid"]),
-            trials=int(obj["trials"]),
-            master_seed=int(obj["master_seed"]),
-            out_dir=obj.get("out_dir", "out"),
-            k_grid=tuple(obj.get("k_grid", ())),
-            workers=int(obj.get("workers", 1)),
-            thresholds=dict(obj.get("thresholds", {})),
-            alpha_points=int(obj.get("alpha_points", 20)),
-            targets=tuple(obj.get("targets", ())),
-            epsilon=float(obj.get("epsilon", 0.0)),
-        )
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
 def default_config(kind: str, master_seed: int = 20240901, out_dir: str = "out", workers: int = 1) -> ExperimentConfig:
     """Config with the documented default grids and thresholds per kind."""
-    if kind == "ktsp-rate":
-        return ExperimentConfig(
-            kind, {"kind": "uniform", "m": 1}, (100, 200, 400, 800, 1600), 500, master_seed,
-            out_dir, k_grid=(2, 3, 5), workers=workers,
-        )
-    if kind == "trp-rate":
-        # m = 2 keeps m**2 << n over the whole grid; larger m adds enough
-        # constant link length to drag the desk-scale slope toward 1.4
-        return ExperimentConfig(
-            kind, {"kind": "uniform", "m": 2}, (250, 500, 1000, 2000), 200, master_seed,
-            out_dir, workers=workers,
-        )
-    if kind == "trp-factor":
-        return ExperimentConfig(
-            kind, {"kind": "uniform", "m": 8}, (2000,), 200, master_seed, out_dir, workers=workers,
-        )
-    if kind == "tail-dominance":
-        return ExperimentConfig(
-            kind, {"kind": "uniform", "m": 1}, (50,), 10_000, master_seed,
-            out_dir, k_grid=(2, 3), workers=workers,
-        )
-    if kind == "fairness-audit":
-        density = {
-            "kind": "population",
-            "m": 2,
-            "layers": [[2.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]],
-            "square": {"origin": [0.0, 0.0], "side": 1.0},
-        }
-        return ExperimentConfig(
-            kind, density, (400,), 10_000, master_seed, out_dir,
-            k_grid=(4,), workers=workers, targets=(0.5, 0.5),
-        )
-    raise ValueError(f"unknown experiment kind {kind!r}")
+    defaults = copy.deepcopy(_kind(kind).defaults)
+    return ExperimentConfig(kind, master_seed=master_seed, out_dir=out_dir, workers=workers, **defaults)
 
 
 def resolve_density(spec: dict) -> GridDensity | PopulationGridDensity:
     kind = spec.get("kind", "grid")
-    sq = spec.get("square", {"origin": [0.0, 0.0], "side": 1.0})
-    square = Square((float(sq["origin"][0]), float(sq["origin"][1])), float(sq["side"]))
     if kind == "uniform":
-        return GridDensity.uniform(int(spec.get("m", 1)), square)
+        return GridDensity.uniform(int(spec.get("m", 1)), _square_from_json(spec))
     if kind == "grid":
-        return GridDensity(int(spec["m"]), np.asarray(spec["cells"], dtype=np.float64), square)
+        return density_from_json(spec)
     if kind == "population":
-        return PopulationGridDensity(int(spec["m"]), np.asarray(spec["layers"], dtype=np.float64), square)
+        return PopulationGridDensity.from_json(spec)
     raise ValueError(f"unknown density spec kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Experiment kinds
+#
+# A trial function maps (density, n, k, seed, context) to (label suffix,
+# value) pairs, one CSV row each under the label kind + suffix; k is 0 for
+# kinds without a k grid.  A checks function appends to the lists
+# summary["fits"] and summary["checks"].  Both call library functions
+# through this module's names, so a tracer can wrap them here.
+
+
+def _check(name: str, ok, detail: str) -> dict:
+    return {"name": name, "passed": bool(ok), "detail": detail}
+
+
+def _ktsp_rate_trial(density, n, k, seed, _context):
+    ps = sample_points(density, n, seed)
+    return [("", ktsp_grid_scheme(ps, k).length), ("-baseline", strip_tour(ps).length)]
+
+
+def _ktsp_rate_checks(cfg, density, stats, _context, summary):
+    kind, th, checks = cfg.experiment, cfg.thresholds, summary["checks"]
+    for cell in summary["cells"]:
+        if cell["experiment"] == kind:
+            # measured multiplicative constant of the growth law, reported not asserted
+            cell["rate_constant"] = cell["mean"] / ktsp_rate(cell["k"], cell["n"], density.square.area)
+    fittable = len(set(cfg.n_grid)) >= 2  # a slope needs two n values
+    for k in cfg.k_grid if fittable else ():
+        fit = fit_loglog_slope([(n, stats[(kind, n, k)]["mean"]) for n in cfg.n_grid])
+        target = -0.5 * (1.0 + 1.0 / (k - 1))
+        summary["fits"].append({"k": k, **fit.to_json()})
+        ok = abs(fit.slope - target) <= th["slope_tol"]
+        detail = f"slope {fit.slope:.4f} vs target {target:.4f} +/- {th['slope_tol']}"
+        checks.append(_check(f"slope-k{k}", ok, detail))
+    k_max, n_max = max(cfg.k_grid), max(cfg.n_grid)
+    scheme_mean = stats[(kind, n_max, k_max)]["mean"]
+    naive_mean = stats[(kind + "-baseline", n_max, k_max)]["mean"] * (k_max - 1) / n_max
+    ok = scheme_mean < th["naive_factor"] * naive_mean
+    detail = f"scheme {scheme_mean:.6f} vs {th['naive_factor']} * naive {naive_mean:.6f}"
+    checks.append(_check(f"beats-naive-k{k_max}-n{n_max}", ok, detail))
+
+
+def _trp_rate_trial(density, n, _k, seed, _context):
+    return [("", trp_apriori_scheme(sample_points(density, n, seed), density).latency)]
+
+
+def _trp_rate_checks(cfg, _density, stats, _context, summary):
+    if len(set(cfg.n_grid)) < 2:  # a slope needs two n values
+        return
+    th = cfg.thresholds
+    fit = fit_loglog_slope([(n, stats[(cfg.experiment, n, 0)]["mean"]) for n in cfg.n_grid])
+    summary["fits"].append(fit.to_json())
+    ok = th["slope_min"] <= fit.slope <= th["slope_max"]
+    detail = f"slope {fit.slope:.4f} within [{th['slope_min']}, {th['slope_max']}]"
+    summary["checks"].append(_check("latency-slope", ok, detail))
+
+
+def _trp_factor_trial(density, n, _k, seed, _context):
+    return [("", trp_factor_check(sample_points(density, n, seed), density))]
+
+
+def _trp_factor_checks(cfg, _density, stats, _context, summary):
+    th = cfg.thresholds
+    for n in cfg.n_grid:
+        frac = float(np.mean(stats[(cfg.experiment, n, 0)]["values"] <= th["ratio_max"]))
+        detail = f"{frac:.3f} of trials <= {th['ratio_max']} (need {th['min_fraction']})"
+        summary["checks"].append(_check(f"factor-n{n}", frac >= th["min_fraction"], detail))
+
+
+def _tail_trial(density, n, k, seed, _context):
+    return [("", ktsp_exact(sample_points(density, n, seed), k).length)]
+
+
+def _tail_validate(cfg):
+    if max(cfg.k_grid) >= 4 and max(cfg.n_grid) > EXACT_KTSP_MAX_N:
+        raise ValueError(f"tail-dominance runs ktsp_exact, which takes at most {EXACT_KTSP_MAX_N} points for k >= 4")
+    if cfg.alpha_points < 1:
+        raise ValueError("alpha_points must be >= 1")
+
+
+def _tail_alpha_grid(k: int, n: int, area: float, points: int) -> np.ndarray:
+    # span the transition of the analytic bound: alpha_1 solves bound == 1
+    log_alpha1 = 0.5 * (
+        math.log(area / (2 * math.pi)) + (math.lgamma(2 * k - 1) - k * math.log(n)) / (k - 1)
+    )
+    return np.linspace(0.0, 1.5 * math.exp(log_alpha1), points)
+
+
+def _tail_checks(cfg, density, stats, _context, summary):
+    area, mult = density.square.area, cfg.thresholds["se_multiplier"]
+    for n in cfg.n_grid:
+        for k in cfg.k_grid:
+            values = stats[(cfg.experiment, n, k)]["values"]
+            curve = []
+            violations = 0
+            for alpha in _tail_alpha_grid(k, n, area, cfg.alpha_points):
+                emp = float(np.mean(values <= alpha))
+                se = math.sqrt(emp * (1 - emp) / values.size)
+                bound = ktsp_tail_bound(k, n, area, float(alpha))
+                violations += emp > bound + mult * se
+                curve.append({"alpha": float(alpha), "empirical": emp, "bound": bound, "stderr": se})
+            summary["fits"].append({"k": k, "n": n, "curve": curve})
+            detail = f"{violations} violations over {cfg.alpha_points} grid points"
+            summary["checks"].append(_check(f"dominance-k{k}-n{n}", violations == 0, detail))
+
+
+def _fairness_validate(cfg):
+    if len(cfg.k_grid) != 1:
+        raise ValueError(f"fairness-audit solves its mix for one k, got k_grid {cfg.k_grid}")
+
+
+def _fairness_targets(cfg, pop) -> tuple[float, ...]:
+    return cfg.targets or tuple(pop.population_shares())
+
+
+def _fairness_prepare(cfg, density) -> FairnessMix:
+    if not isinstance(density, PopulationGridDensity):
+        raise ValueError("fairness-audit needs a population density spec")
+    return fairness_lp(density, cfg.k_grid[0], _fairness_targets(cfg, density), cfg.epsilon)
+
+
+def _fairness_trial(pop, n, k, seed, mix):
+    ps = sample_points(pop.total, n, seed.child("sample"))
+    result = fair_ktsp_sample(pop, mix, ps, k, seed.child("route"))
+    return [(f"-pop{i}", count / k) for i, count in enumerate(result.served_counts)]
+
+
+def _fairness_checks(cfg, pop, stats, mix, summary):
+    mult, k = cfg.thresholds["se_multiplier"], cfg.k_grid[0]
+    for n in cfg.n_grid:
+        for i, target in enumerate(_fairness_targets(cfg, pop)):
+            s = stats[(f"{cfg.experiment}-pop{i}", n, k)]
+            se = max(s["stderr"], 1e-12)
+            ok = abs(s["mean"] - target) <= mult * se
+            detail = f"mean {s['mean']:.4f} vs target {target:.4f} +/- {mult}*{se:.5f}"
+            summary["checks"].append(_check(f"served-fraction-pop{i}-n{n}", ok, detail))
+    summary["fits"].append({"mix_q": [float(v) for v in mix.q], "support": list(mix.support)})
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the harness knows about one experiment kind."""
+
+    trial: Callable  # (density, n, k, seed, context) -> [(label suffix, value), ...]
+    checks: Callable  # (cfg, density, stats, context, summary): appends fits and checks
+    thresholds: dict  # default thresholds, also the only keys a config may set
+    defaults: dict  # ExperimentConfig fields of default_config
+    needs_k: bool = False
+    validate: Callable | None = None  # (cfg): ValueError for a config the kind cannot run
+    prepare: Callable | None = None  # (cfg, density) -> context, once per run, passed to each trial
+
+
+_KINDS: dict[str, _Kind] = {
+    "ktsp-rate": _Kind(
+        _ktsp_rate_trial, _ktsp_rate_checks, {"slope_tol": 0.10, "naive_factor": 0.8},
+        dict(density={"kind": "uniform", "m": 1}, n_grid=(100, 200, 400, 800, 1600), trials=500, k_grid=(2, 3, 5)),
+        needs_k=True,
+    ),
+    "trp-rate": _Kind(
+        _trp_rate_trial, _trp_rate_checks, {"slope_min": 1.4, "slope_max": 1.6},
+        # m = 2 keeps m**2 << n over the whole grid; larger m adds enough
+        # constant link length to drag the desk-scale slope toward 1.4
+        dict(density={"kind": "uniform", "m": 2}, n_grid=(250, 500, 1000, 2000), trials=200),
+    ),
+    "tail-dominance": _Kind(
+        _tail_trial, _tail_checks, {"se_multiplier": 3.0},
+        dict(density={"kind": "uniform", "m": 1}, n_grid=(50,), trials=10_000, k_grid=(2, 3)),
+        needs_k=True, validate=_tail_validate,
+    ),
+    "fairness-audit": _Kind(
+        _fairness_trial, _fairness_checks, {"se_multiplier": 3.0},
+        dict(
+            density={
+                "kind": "population",
+                "m": 2,
+                "layers": [[2.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]],
+                "square": {"origin": [0.0, 0.0], "side": 1.0},
+            },
+            n_grid=(400,), trials=10_000, k_grid=(4,), targets=(0.5, 0.5),
+        ),
+        needs_k=True, validate=_fairness_validate, prepare=_fairness_prepare,
+    ),
+    "trp-factor": _Kind(
+        _trp_factor_trial, _trp_factor_checks, {"ratio_max": 2.5, "min_fraction": 0.95},
+        dict(density={"kind": "uniform", "m": 8}, n_grid=(2000,), trials=200),
+    ),
+}
+
+EXPERIMENT_KINDS = tuple(_KINDS)
+
+
+def _kind(name: str) -> _Kind:
+    if name not in _KINDS:
+        raise ValueError(f"unknown experiment kind {name!r}")
+    return _KINDS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -223,37 +383,10 @@ def resolve_density(spec: dict) -> GridDensity | PopulationGridDensity:
 
 def _run_trial(payload) -> list[tuple[str, int, int, int, int, float]]:
     """One Monte Carlo trial; returns rows (label, n, k, trial, seed, value)."""
-    kind, density, n, k, trial, master_seed, extra = payload
+    kind, density, n, k, trial, master_seed, context = payload
     stream = stable_stream(kind, n, k, trial)
-    seed = RandomSeed(master_seed, stream)
-
-    if kind == "ktsp-rate":
-        ps = sample_points(density, n, seed)
-        scheme = ktsp_grid_scheme(ps, k)
-        baseline = strip_tour(ps)
-        return [
-            (kind, n, k, trial, stream, scheme.length),
-            (kind + "-baseline", n, k, trial, stream, baseline.length),
-        ]
-    if kind == "trp-rate":
-        ps = sample_points(density, n, seed)
-        return [(kind, n, k, trial, stream, trp_apriori_scheme(ps, density).latency)]
-    if kind == "trp-factor":
-        ps = sample_points(density, n, seed)
-        return [(kind, n, k, trial, stream, trp_factor_check(ps, density))]
-    if kind == "tail-dominance":
-        ps = sample_points(density, n, seed)
-        return [(kind, n, k, trial, stream, ktsp_exact(ps, k).length)]
-    if kind == "fairness-audit":
-        pop = density
-        mix = FairnessMix(np.asarray(extra["q"]), tuple(extra["support"]), extra["objective"], extra["epsilon"])
-        ps = sample_points(pop.total, n, seed.child("sample"))
-        result = fair_ktsp_sample(pop, mix, ps, k, seed.child("route"))
-        return [
-            (f"{kind}-pop{i}", n, k, trial, stream, count / k)
-            for i, count in enumerate(result.served_counts)
-        ]
-    raise ValueError(f"unknown experiment kind {kind!r}")
+    pairs = _KINDS[kind].trial(density, n, k, RandomSeed(master_seed, stream), context)
+    return [(kind + suffix, n, k, trial, stream, value) for suffix, value in pairs]
 
 
 @dataclass(frozen=True)
@@ -272,25 +405,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     worker count affects wall time only.
     """
     density = resolve_density(cfg.density)
-    extra: dict = {}
-    if cfg.experiment == "fairness-audit":
-        if not isinstance(density, PopulationGridDensity):
-            raise ValueError("fairness-audit needs a population density spec")
-        targets = cfg.targets or tuple(density.population_shares())
-        mix = fairness_lp(density, cfg.k_grid[0], targets, cfg.epsilon)
-        extra = {
-            "q": np.asarray(mix.q),
-            "support": list(mix.support),
-            "objective": mix.objective,
-            "epsilon": mix.epsilon,
-            "targets": list(targets),
-        }
+    prepare = _KINDS[cfg.experiment].prepare
+    context = prepare(cfg, density) if prepare is not None else None
 
-    k_grid = cfg.k_grid or (0,)
     payloads = [
-        (cfg.experiment, density, n, k, trial, cfg.master_seed, extra)
+        (cfg.experiment, density, n, k, trial, cfg.master_seed, context)
         for n in cfg.n_grid
-        for k in k_grid
+        for k in cfg.k_grid or (0,)
         for trial in range(cfg.trials)
     ]
 
@@ -310,7 +431,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for label, n, k, trial, stream, value in rows:
             fh.write(f"{label},{n},{k},{trial},{stream},{value:.17g}\n")
 
-    summary = _summarize(cfg, density, rows, extra)
+    summary = _summarize(cfg, density, rows, context)
     summary_path = os.path.join(cfg.out_dir, f"{cfg.experiment}_summary.json")
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -334,143 +455,20 @@ def _group_stats(rows) -> dict[tuple[str, int, int], dict]:
     return stats
 
 
-def _tail_alpha_grid(k: int, n: int, area: float, points: int) -> np.ndarray:
-    # span the transition of the analytic bound: alpha_1 solves bound == 1
-    log_alpha1 = 0.5 * (
-        math.log(area / (2 * math.pi)) + (math.lgamma(2 * k - 1) - k * math.log(n)) / (k - 1)
-    )
-    return np.linspace(0.0, 1.5 * math.exp(log_alpha1), points)
-
-
-def _summarize(cfg: ExperimentConfig, density, rows, extra) -> dict:
-    thresholds = cfg.thresholds
+def _summarize(cfg: ExperimentConfig, density, rows, context) -> dict:
     stats = _group_stats(rows)
-    kind = cfg.experiment
-    cells = []
-    for (label, n, k), s in sorted(stats.items()):
-        cell = {"experiment": label, "n": n, "k": k, "mean": s["mean"], "stderr": s["stderr"], "trials": s["trials"]}
-        if label == "ktsp-rate":
-            # measured multiplicative constant of the growth law, reported not asserted
-            cell["rate_constant"] = s["mean"] / ktsp_rate(k, n, resolve_area(cfg.density))
-        cells.append(cell)
-    fits: list[dict] = []
-    checks: list[dict] = []
-
-    fittable = len(set(cfg.n_grid)) >= 2  # slope fits need at least two n values
-
-    if kind == "ktsp-rate":
-        for k in cfg.k_grid:
-            if not fittable:
-                continue
-            samples = [(n, stats[(kind, n, k)]["mean"]) for n in cfg.n_grid]
-            fit = fit_loglog_slope(samples)
-            target = -0.5 * (1.0 + 1.0 / (k - 1))
-            ok = abs(fit.slope - target) <= thresholds["slope_tol"]
-            fits.append({"k": k, **fit.to_json()})
-            checks.append(
-                {
-                    "name": f"slope-k{k}",
-                    "passed": bool(ok),
-                    "detail": f"slope {fit.slope:.4f} vs target {target:.4f} +/- {thresholds['slope_tol']}",
-                }
-            )
-        k_max, n_max = max(cfg.k_grid), max(cfg.n_grid)
-        scheme_mean = stats[(kind, n_max, k_max)]["mean"]
-        naive_mean = stats[(kind + "-baseline", n_max, k_max)]["mean"] * (k_max - 1) / n_max
-        ok = scheme_mean < thresholds["naive_factor"] * naive_mean
-        checks.append(
-            {
-                "name": f"beats-naive-k{k_max}-n{n_max}",
-                "passed": bool(ok),
-                "detail": f"scheme {scheme_mean:.6f} vs {thresholds['naive_factor']} * naive {naive_mean:.6f}",
-            }
-        )
-
-    elif kind == "trp-rate":
-        if fittable:
-            samples = [(n, stats[(kind, n, 0)]["mean"]) for n in cfg.n_grid]
-            fit = fit_loglog_slope(samples)
-            fits.append(fit.to_json())
-            ok = thresholds["slope_min"] <= fit.slope <= thresholds["slope_max"]
-            checks.append(
-                {
-                    "name": "latency-slope",
-                    "passed": bool(ok),
-                    "detail": f"slope {fit.slope:.4f} within [{thresholds['slope_min']}, {thresholds['slope_max']}]",
-                }
-            )
-
-    elif kind == "trp-factor":
-        for n in cfg.n_grid:
-            values = stats[(kind, n, 0)]["values"]
-            frac = float(np.mean(values <= thresholds["ratio_max"]))
-            ok = frac >= thresholds["min_fraction"]
-            checks.append(
-                {
-                    "name": f"factor-n{n}",
-                    "passed": bool(ok),
-                    "detail": f"{frac:.3f} of trials <= {thresholds['ratio_max']} (need {thresholds['min_fraction']})",
-                }
-            )
-
-    elif kind == "tail-dominance":
-        area = resolve_area(cfg.density)
-        mult = thresholds["se_multiplier"]
-        for n in cfg.n_grid:
-            for k in cfg.k_grid:
-                values = stats[(kind, n, k)]["values"]
-                grid = _tail_alpha_grid(k, n, area, cfg.alpha_points)
-                curve = []
-                violations = 0
-                for alpha in grid:
-                    emp = float(np.mean(values <= alpha))
-                    se = math.sqrt(emp * (1 - emp) / values.size)
-                    bound = ktsp_tail_bound(k, n, area, float(alpha))
-                    bad = emp > bound + mult * se
-                    violations += bad
-                    curve.append(
-                        {"alpha": float(alpha), "empirical": emp, "bound": bound, "stderr": se}
-                    )
-                fits.append({"k": k, "n": n, "curve": curve})
-                checks.append(
-                    {
-                        "name": f"dominance-k{k}-n{n}",
-                        "passed": violations == 0,
-                        "detail": f"{violations} violations over {cfg.alpha_points} grid points",
-                    }
-                )
-
-    elif kind == "fairness-audit":
-        mult = thresholds["se_multiplier"]
-        targets = extra["targets"]
-        k = cfg.k_grid[0]
-        for n in cfg.n_grid:
-            for i, target in enumerate(targets):
-                s = stats[(f"{kind}-pop{i}", n, k)]
-                se = max(s["stderr"], 1e-12)
-                ok = abs(s["mean"] - target) <= mult * se
-                checks.append(
-                    {
-                        "name": f"served-fraction-pop{i}-n{n}",
-                        "passed": bool(ok),
-                        "detail": f"mean {s['mean']:.4f} vs target {target:.4f} +/- {mult}*{se:.5f}",
-                    }
-                )
-        fits.append({"mix_q": [float(v) for v in extra["q"]], "support": extra["support"]})
-
-    return {
-        "experiment": kind,
+    summary = {
+        "experiment": cfg.experiment,
         "config": cfg.canonical(),
         "config_hash": cfg.config_hash(),
         "master_seed": cfg.master_seed,
-        "cells": cells,
-        "fits": fits,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "cells": [
+            {"experiment": label, "n": n, "k": k, "mean": s["mean"], "stderr": s["stderr"], "trials": s["trials"]}
+            for (label, n, k), s in sorted(stats.items())
+        ],
+        "fits": [],
+        "checks": [],
     }
-
-
-def resolve_area(spec: dict) -> float:
-    sq = spec.get("square", {"origin": [0.0, 0.0], "side": 1.0})
-    side = float(sq["side"])
-    return side * side
+    _KINDS[cfg.experiment].checks(cfg, density, stats, context, summary)
+    summary["passed"] = all(c["passed"] for c in summary["checks"])
+    return summary

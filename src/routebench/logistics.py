@@ -59,6 +59,13 @@ def _require_finite(**args: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_count(name: str, value: float) -> int:
+    """``value`` as an int; ValueError unless it is a whole number (1.0 is)."""
+    if value != math.floor(value):
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 def _trp_cost(m: float, c: float, w: float, N: float, b: float) -> float:
     per = N / m
     return c * m + b * per * per + w * per * math.sqrt(per)
@@ -72,6 +79,7 @@ def fleet_size_trp(c: float, w: float, N: int, b: float = 0.0) -> FleetSize:
     term b > 0 there is no closed form and the integers are scanned.
     """
     _require_finite(c=c, w=w, N=N, b=b)
+    N = _require_count("N", N)
     if c <= 0 or w <= 0:
         raise ValueError("cost coefficients must be positive")
     if N < 1:
@@ -108,6 +116,7 @@ def sdd_dispatch_tsp(
     if T_cutoff is None:
         T_cutoff = T
     _require_finite(lam=lam, a=a, T=T, m=m, T_cutoff=T_cutoff)
+    m = _require_count("m", m)
     if lam <= 0 or a < 0 or T <= 0 or m < 1:
         raise ValueError("parameters must be positive (a may be zero)")
     if T_cutoff > T:
@@ -148,6 +157,7 @@ def sdd_dispatch_trp(lam: float, a: float, N: float, m: int, T: float) -> Dispat
     N/lam + a*sqrt(N/m) <= T; the slack of that inequality is reported.
     """
     _require_finite(lam=lam, a=a, N=N, m=m, T=T)
+    m = _require_count("m", m)
     if lam <= 0 or a < 0 or N <= 0 or m < 1 or T <= 0:
         raise ValueError("parameters must be positive (a may be zero)")
     times = tuple(i * N / (m * lam) for i in range(1, m + 1))

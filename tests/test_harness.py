@@ -1,5 +1,7 @@
 """Rate fitting, experiment orchestration, and CLI tests."""
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from routebench import (
+    EXPERIMENT_KINDS,
     ExperimentConfig,
     default_config,
     fit_loglog_slope,
@@ -107,7 +110,8 @@ class TestRunExperiment:
         assert stable_stream("ktsp-rate", 50, 2, 0) != stable_stream("ktsp-rate", 50, 2, 1)
 
     def test_default_configs_valid(self):
-        for kind in ("ktsp-rate", "trp-rate", "tail-dominance", "fairness-audit", "trp-factor"):
+        assert EXPERIMENT_KINDS == ("ktsp-rate", "trp-rate", "tail-dominance", "fairness-audit", "trp-factor")
+        for kind in EXPERIMENT_KINDS:
             cfg = default_config(kind)
             assert cfg.experiment == kind
 
@@ -115,10 +119,119 @@ class TestRunExperiment:
         cfg = small_config(tmp_path)
         back = ExperimentConfig.from_json(json.dumps(cfg.canonical()))
         assert back.config_hash() == cfg.config_hash()
+        # integer epsilon and trials hash like the floats and ints JSON gives back
+        fair = dataclasses.replace(default_config("fairness-audit"), epsilon=0, trials=10.0)
+        back = ExperimentConfig.from_json(json.dumps(fair.canonical()))
+        assert back.config_hash() == fair.config_hash()
+        assert back == fair
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig("nope", {"kind": "uniform", "m": 1}, (10,), 1, 0)
+
+
+# Small versions of every kind's default config.  The hashes were recorded
+# before the harness moved to one registry entry per kind, so they pin the
+# CSV and summary bytes, and the default config hashes, across that change.
+GOLDEN_SIZES = {
+    "ktsp-rate": dict(n_grid=(50, 100), k_grid=(2, 3), trials=8),
+    "trp-rate": dict(n_grid=(50, 100), trials=4),
+    "trp-factor": dict(n_grid=(200,), trials=4),
+    "tail-dominance": dict(n_grid=(30,), k_grid=(2, 3), trials=200),
+    "fairness-audit": dict(n_grid=(100,), trials=40),
+}
+
+# kind: (CSV sha256, summary sha256, default config_hash)
+GOLDEN_HASHES = {
+    "ktsp-rate": (
+        "2765739cba97edd29b4af567379e77e84afd0ab41b9f7b2068810b3dfdbc21f1",
+        "77f49cf2b6043222de0a2934ac0959dd8ff0d71a13b835058430b882fe01497b",
+        "114b21612a0e48d24ab987f8ff537b584f2f283faec9895ba1b5bd72815bbdac",
+    ),
+    "trp-rate": (
+        "04d5f3c81bdcbba1bd232c393507fc9c96e3627ee1ba98a48973ece5b4d17ddc",
+        "ce3ab152e631d20b3ecf5340c590e6a0538b3bb98c655a774f81c331bf75284e",
+        "38341292d4d6312319363d9388c7203c85be4b2fec3a15193e41c0974183a91f",
+    ),
+    "tail-dominance": (
+        "f9458b31305242ab3d4870e447856590f0a48d38d816850baf4734cf5ebc39c2",
+        "05584269171655117222c24dc30a8f6246293ff42c2051157c887627ca337fd6",
+        "8f4cf24a59c165e329fff59fd19635d7d943193c90cdd43a04e0d81249d60732",
+    ),
+    "fairness-audit": (
+        "b91519bbdcd730b0647273fd42d75e21f49d092678a78d79556f0ccb4616837b",
+        "c8a007865b69e7037f85b4eee1df43cd845e50a5130a96c5fbf643b0355e6a94",
+        "369a6da3847e741b7f5c063dd6f2e971051fd82795a4f45d19a5f22446b6e421",
+    ),
+    "trp-factor": (
+        "c8b0a32824a0ef4eafbcabd558dd66275776ffea5599f55ce37fd05918e70cd3",
+        "18c0b5289d6e0987de9259d2b9bea87b0a1225b99962253950475266d7566f60",
+        "3d511505e25b55995d5ac73435282de5ce0b887dccd98086862065630efae686",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_golden_outputs_per_kind(kind, tmp_path):
+    csv_sha, summary_sha, default_hash = GOLDEN_HASHES[kind]
+    assert default_config(kind).config_hash() == default_hash
+    cfg = dataclasses.replace(default_config(kind, 7, str(tmp_path)), **GOLDEN_SIZES[kind])
+    report = run_experiment(cfg)
+    assert hashlib.sha256(open(report.csv_path, "rb").read()).hexdigest() == csv_sha
+    assert hashlib.sha256(open(report.summary_path, "rb").read()).hexdigest() == summary_sha
+
+
+class TestConfigValidation:
+    """Config errors surface when the config is built, not inside a worker."""
+
+    def test_unknown_threshold_key(self, tmp_path):
+        with pytest.raises(ValueError, match="ratio_mx"):
+            small_config(tmp_path, thresholds={"ratio_mx": 0})
+        with pytest.raises(ValueError):
+            # a trp-factor key is not a ktsp-rate key
+            small_config(tmp_path, thresholds={"ratio_max": 2.5})
+
+    def test_fairness_audit_takes_exactly_one_k(self):
+        cfg = default_config("fairness-audit")
+        for k_grid in ((4, 40), (4, 8)):
+            with pytest.raises(ValueError):
+                dataclasses.replace(cfg, k_grid=k_grid)
+
+    def test_k_out_of_range(self, tmp_path):
+        for k_grid in ((1,), (0, 2), (2, 60)):  # n_grid is (50, 100)
+            with pytest.raises(ValueError):
+                small_config(tmp_path, k_grid=k_grid)
+        with pytest.raises(ValueError):
+            dataclasses.replace(default_config("fairness-audit"), n_grid=(3,))
+        small_config(tmp_path, k_grid=(2, 50))  # k = min(n) is allowed
+
+    def test_k_grid_on_kind_without_k(self):
+        with pytest.raises(ValueError):
+            dataclasses.replace(default_config("trp-factor"), k_grid=(2,))
+
+    def test_tail_dominance_beyond_exact_cap(self):
+        cfg = default_config("tail-dominance")  # n = 50 > EXACT_KTSP_MAX_N
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, k_grid=(2, 4))
+        dataclasses.replace(cfg, n_grid=(12,), k_grid=(4,))  # at the cap
+
+    def test_workers_below_one(self, tmp_path):
+        for workers in (0, -3):
+            with pytest.raises(ValueError):
+                small_config(tmp_path, workers=workers)
+
+    def test_default_config_unknown_kind(self):
+        with pytest.raises(ValueError):
+            default_config("nope")
+
+    def test_cli_rejects_bad_config(self, tmp_path, capsys):
+        cfg = small_config(tmp_path).canonical()
+        cfg["thresholds"]["slope_tl"] = 0.1
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert "slope_tl" in capsys.readouterr().err
+        assert main(["experiment", "--kind", "ktsp-rate", "--workers", "0"]) == 1
 
 
 class TestCli:
@@ -176,3 +289,19 @@ class TestCli:
 
     def test_error_exit_code(self):
         assert main(["tsp", "--points", "/nonexistent/file.csv"]) == 1
+
+    def test_density_file_kinds(self, tmp_path):
+        density = tmp_path / "uniform.json"
+        density.write_text(json.dumps({"kind": "uniform", "m": 2}))
+        points = tmp_path / "points.csv"
+        assert main(["sample", "--density", str(density), "--n", "5", "--out", str(points)]) == 0
+        assert len(points.read_text().splitlines()) == 6
+
+    def test_dispatch_rejects_fractional_counts(self, tmp_path):
+        out = tmp_path / "plan.json"
+        assert main(["dispatch", "--mode", "fleet", "--N", "2.5", "--out", str(out)]) == 1
+        assert main(["dispatch", "--mode", "fleet", "--N", "3", "--out", str(out)]) == 0
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"m": 2.5}))
+        assert main(["dispatch", "--mode", "trp", "--params", str(params), "--N", "10", "--T", "50"]) == 1
+        assert main(["dispatch", "--mode", "tsp", "--params", str(params)]) == 1

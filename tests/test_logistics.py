@@ -163,3 +163,26 @@ def test_dispatch_trp_rejects_non_finite(arg, bad):
     args[arg] = bad
     with pytest.raises(ValueError, match=f"{arg} must be finite"):
         sdd_dispatch_trp(**args)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fleet_size_trp(1, 1, 2.5),
+        lambda: fleet_size_trp(1, 1, 2.5, b=0.3),
+        lambda: sdd_dispatch_tsp(1, 1, 1, 2.5),
+        lambda: sdd_dispatch_trp(1, 1, 1, 2.5, 1),
+    ],
+    ids=["fleet-N", "fleet-N-batching", "tsp-m", "trp-m"],
+)
+def test_fractional_counts_rejected(call):
+    with pytest.raises(ValueError, match="whole number"):
+        call()
+
+
+def test_integral_float_counts_accepted():
+    # the CLI reads N as a float, so 32.0 must behave like 32
+    assert fleet_size_trp(1.0, 1.0, 32.0) == fleet_size_trp(1.0, 1.0, 32)
+    assert fleet_size_trp(1.0, 1.0, 50.0, b=0.3) == fleet_size_trp(1.0, 1.0, 50, b=0.3)
+    assert sdd_dispatch_tsp(1.0, 1.0, 6.0, 3.0) == sdd_dispatch_tsp(1.0, 1.0, 6.0, 3)
+    assert sdd_dispatch_trp(10.0, 1.0, 100.0, 4.0, 15.0) == sdd_dispatch_trp(10.0, 1.0, 100.0, 4, 15.0)
