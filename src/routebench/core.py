@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -50,6 +51,18 @@ __all__ = [
 # uniform points.  The library never asserts a specific value inside it;
 # it is exposed for callers that want a configured estimate.
 BETA_TSP_BRACKET = (0.6250, 0.9204)
+
+
+def _require_count(name: str, value: float) -> int:
+    """``value`` as an int; ValueError unless it is a finite whole number
+    (1.0 is; "3" and 2.5 are not)."""
+    try:
+        whole = math.isfinite(value) and value == math.floor(value)
+    except TypeError:
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 class Point(NamedTuple):
@@ -105,23 +118,15 @@ class PointSet:
     square: Square = UNIT_SQUARE
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
+        coords = np.array(self.coords, dtype=np.float64)  # a private copy
         if coords.size == 0:
             coords = coords.reshape(0, 2)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError("coords must have shape (n, 2)")
-        if not np.all(np.isfinite(coords)):
+        if not np.isfinite(coords).all():
             raise ValueError("coordinates must be finite")
-        ox, oy = self.square.origin
-        s = self.square.side
-        if coords.shape[0] and not (
-            np.all(coords[:, 0] >= ox)
-            and np.all(coords[:, 0] <= ox + s)
-            and np.all(coords[:, 1] >= oy)
-            and np.all(coords[:, 1] <= oy + s)
-        ):
+        if not _inside(coords, self.square):
             raise ValueError("all points must lie inside the bounding square")
-        coords = coords.copy()
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -136,19 +141,27 @@ class PointSet:
 
     def subset(self, indices: Sequence[int], square: Square | None = None) -> "PointSet":
         """Point set restricted to ``indices``, optionally with a tighter square."""
-        return PointSet(self.coords[list(indices)], square or self.square)
+        return PointSet(self.coords.take(np.asarray(indices, dtype=np.intp), axis=0), square or self.square)
 
 
 @dataclass(frozen=True)
 class Route:
-    """A visiting order over point indices; closed routes return to the start."""
+    """A visiting order over point indices; closed routes return to the start.
+
+    Indices must be integers (Python or numpy; floats are rejected, not
+    truncated), distinct and nonnegative.  ``order`` is stored as a tuple of
+    Python ints.
+    """
 
     order: tuple[int, ...]
     closed: bool
 
     def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
-        if any(i < 0 for i in order):
+        try:
+            order = tuple(map(operator.index, self.order))
+        except TypeError:
+            raise ValueError(f"route indices must be integers, got {self.order!r}") from None
+        if order and min(order) < 0:
             raise ValueError("route indices must be nonnegative")
         if len(set(order)) != len(order):
             raise ValueError("route indices must be distinct")
@@ -159,22 +172,28 @@ class Route:
 
 
 def _route_points(route: Route, ps: PointSet) -> np.ndarray:
-    n = len(ps)
-    if any(i >= n for i in route.order):
+    idx = np.fromiter(route.order, dtype=np.intp, count=len(route.order))
+    if len(idx) and idx.max() >= len(ps):
         raise ValueError("route index out of range for the point set")
-    return ps.coords[list(route.order)]
+    return ps.coords.take(idx, axis=0)
+
+
+def _path_length(pts: np.ndarray, closed: bool) -> float:
+    """Euclidean length of the path through the rows of ``pts`` in order;
+    a closed path includes the edge from the last row back to the first."""
+    if len(pts) < 2:
+        return 0.0
+    diffs = pts[1:] - pts[:-1]
+    length = float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
+    if closed:
+        dx, dy = pts[0] - pts[-1]
+        length += float(np.hypot(dx, dy))
+    return length
 
 
 def route_length(route: Route, ps: PointSet) -> float:
     """Euclidean length of the route; closed routes include the return edge."""
-    pts = _route_points(route, ps)
-    if len(pts) < 2:
-        return 0.0
-    diffs = np.diff(pts, axis=0)
-    length = float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
-    if route.closed:
-        length += float(np.hypot(*(pts[0] - pts[-1])))
-    return length
+    return _path_length(_route_points(route, ps), route.closed)
 
 
 def total_latency(route: Route, ps: PointSet) -> float:
@@ -190,7 +209,7 @@ def total_latency(route: Route, ps: PointSet) -> float:
     n = len(pts)
     if n < 2:
         return 0.0
-    diffs = np.diff(pts, axis=0)
+    diffs = pts[1:] - pts[:-1]
     edges = np.hypot(diffs[:, 0], diffs[:, 1])
     weights = np.arange(n - 1, 0, -1, dtype=np.float64)
     return float(weights @ edges)
@@ -307,26 +326,50 @@ class GridDensity:
         return int(np.argmax(self.cells))
 
 
+def _inside(coords: np.ndarray, square: Square) -> bool:
+    """Whether every row of the (n, 2) array ``coords`` lies in the closed
+    square; False when a coordinate is NaN (min and max propagate it)."""
+    if not len(coords):
+        return True
+    # per column: numpy reduces an (n, 2) array over axis 0 with an inner
+    # loop of length 2, several times slower than reducing each column
+    x, y = coords[:, 0], coords[:, 1]
+    ox, oy = square.origin
+    s = square.side
+    return bool(x.min() >= ox and y.min() >= oy and x.max() <= ox + s and y.max() <= oy + s)
+
+
 def cell_ids(coords: np.ndarray, square: Square, m: int) -> np.ndarray:
     """Row-major cell index of each point under the half-open convention.
 
     Left/bottom cell edges are inclusive; the square's top/right boundary
     belongs to the last row/column so the cells form a true partition.
+    ``m`` must be a positive integer and every point must lie in the closed
+    square (NaN does not); otherwise ``ValueError``.
     """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"grid resolution m must be an integer, got {m!r}") from None
+    if m < 1:
+        raise ValueError(f"grid resolution m must be at least 1, got {m}")
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
-    ox, oy = square.origin
-    s = square.side
-    if coords.shape[0] and not (
-        np.all(coords[:, 0] >= ox)
-        and np.all(coords[:, 0] <= ox + s)
-        and np.all(coords[:, 1] >= oy)
-        and np.all(coords[:, 1] <= oy + s)
-    ):
+    if not _inside(coords, square):
         raise ValueError("point outside the bounding square")
-    h = s / m
-    col = np.clip(np.floor((coords[:, 0] - ox) / h).astype(np.int64), 0, m - 1)
-    row = np.clip(np.floor((coords[:, 1] - oy) / h).astype(np.int64), 0, m - 1)
+    ox, oy = square.origin
+    h = square.side / m
+    # inside the square the offsets are >= 0, so truncation is the floor
+    col = np.minimum(((coords[:, 0] - ox) / h).astype(np.int64), m - 1)
+    row = np.minimum(((coords[:, 1] - oy) / h).astype(np.int64), m - 1)
     return row * m + col
+
+
+def _group_by_cell(ids: np.ndarray, cells: int) -> tuple[np.ndarray, list[int]]:
+    """Point indices sorted by cell id, ascending within a cell, and the
+    offsets of each cell's run: cell c holds ``by_cell[start[c]:start[c + 1]]``."""
+    by_cell = np.argsort(ids, kind="stable")
+    start = [0] + np.cumsum(np.bincount(ids, minlength=cells)).tolist()
+    return by_cell, start
 
 
 def bucket_counts(ps: PointSet, d: GridDensity) -> np.ndarray:

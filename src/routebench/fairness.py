@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GridDensity, PointSet, RandomSeed, Route, Square, cell_ids, route_length, sample_points
-from .core import _square_from_json
+from .core import GridDensity, PointSet, RandomSeed, Route, Square, cell_ids, sample_points
+from .core import _group_by_cell, _path_length, _square_from_json
 from .errors import InfeasibleError
 from .ktsp import KtspResult, ktsp_grid_scheme, ktsp_nonuniform_scheme
 
@@ -66,6 +66,7 @@ class PopulationGridDensity:
         layers = layers.copy()
         layers.setflags(write=False)
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_total", GridDensity(self.m, total, self.square))
 
     @property
     def populations(self) -> int:
@@ -73,7 +74,8 @@ class PopulationGridDensity:
 
     @property
     def total(self) -> GridDensity:
-        return GridDensity(self.m, self.layers.sum(axis=0), self.square)
+        """The cell-wise sum of the layers, built once."""
+        return self._total
 
     def population_shares(self) -> np.ndarray:
         """Overall share of each population: the integral of its layer."""
@@ -255,7 +257,7 @@ def fairness_lp(
 
     q_full = np.zeros(f.size)
     q_full[supported] = best[3]
-    support = tuple(int(c) for c in np.flatnonzero(q_full > 1e-12))
+    support = tuple(np.flatnonzero(q_full > 1e-12).tolist())
     q_full.setflags(write=False)
     return FairnessMix(q_full, support, best[0], epsilon)
 
@@ -288,20 +290,19 @@ def fair_ktsp_sample(
     members = np.flatnonzero(ids == cell)
     augmented: list[int] = []
     if members.size < k:
+        by_cell, start = _group_by_cell(ids, m * m)
         cx, cy = pop.square.cell_center(m, cell)
         centers = np.array([pop.square.cell_center(m, c) for c in range(m * m)])
         dist = np.hypot(centers[:, 0] - cx, centers[:, 1] - cy)
-        for other in np.lexsort((np.arange(m * m), dist)):
-            if other == cell:
+        total = members.size
+        for other in np.lexsort((np.arange(m * m), dist)).tolist():
+            if other == cell or start[other] == start[other + 1]:
                 continue
-            extra = np.flatnonzero(ids == other)
-            if extra.size == 0:
-                continue
-            augmented.append(int(other))
-            members = np.concatenate([members, extra])
-            if members.size >= k:
+            augmented.append(other)
+            total += start[other + 1] - start[other]
+            if total >= k:
                 break
-        members = np.sort(members)
+        members = np.sort(np.concatenate([by_cell[start[c] : start[c + 1]] for c in [cell] + augmented]))
 
     included = [cell] + augmented
     rects = [pop.square.cell(m, c) for c in included]
@@ -313,24 +314,29 @@ def fair_ktsp_sample(
 
     sub = ps.subset(members, region)
     inner = ktsp_grid_scheme(sub, k)
-    order = tuple(int(members[i]) for i in inner.route.order)
-    route = Route(order, closed=False)
+    path = members[np.array(inner.route.order, dtype=np.intp)]
+    route = Route(tuple(path.tolist()), closed=False)
 
-    totals = pop.total.cells
-    counts = np.zeros(pop.populations, dtype=np.int64)
-    for idx in order:
-        c = int(ids[idx])
-        shares = pop.layers[:, c] / totals[c]
-        counts[int(rng.choice(pop.populations, p=shares))] += 1
+    # each served point draws its label from its cell's shares with one
+    # uniform, as rng.choice(populations, p=shares) would: the first label
+    # whose normalized cumulative share exceeds it
+    served = ids.take(path)
+    totals = pop.total.cells.take(served)
+    if not np.all(totals > 0):
+        raise ValueError("a served point lies in a cell of zero total density")
+    cdf = np.cumsum(pop.layers[:, served] / totals, axis=0)
+    cdf /= cdf[-1]
+    labels = np.count_nonzero(cdf <= rng.random(k), axis=0)
+    counts = np.bincount(labels, minlength=pop.populations)
 
     return FairKtspResult(
         route=route,
-        length=route_length(route, ps),
+        length=_path_length(ps.coords.take(path, axis=0), closed=False),
         alpha_used=inner.alpha_used,
         cell_chosen=inner.cell_chosen,
         density_cell=cell,
         cell_sampled=cell,
-        served_counts=tuple(int(c) for c in counts),
+        served_counts=tuple(counts.tolist()),
         augmented_cells=tuple(augmented),
     )
 

@@ -28,7 +28,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GridDensity, RandomSeed, _square_from_json, density_from_json, sample_points, stable_stream
+from .core import (
+    GridDensity,
+    RandomSeed,
+    _require_count,
+    _square_from_json,
+    density_from_json,
+    sample_points,
+    stable_stream,
+)
 from .fairness import FairnessMix, PopulationGridDensity, fair_ktsp_sample, fairness_lp
 from .ktsp import EXACT_KTSP_MAX_N, ktsp_exact, ktsp_grid_scheme, ktsp_rate, ktsp_tail_bound
 from .trp import trp_apriori_scheme, trp_factor_check
@@ -86,16 +94,18 @@ def fit_loglog_slope(samples: Sequence[tuple[float, float]]) -> RateFit:
 # ---------------------------------------------------------------------------
 # Configuration
 
-_SCALAR_CASTS = (("trials", int), ("master_seed", int), ("workers", int), ("alpha_points", int), ("epsilon", float))
-_TUPLE_CASTS = (("n_grid", int), ("k_grid", int), ("targets", float))
+_COUNTS = ("trials", "master_seed", "workers", "alpha_points")
+_COUNT_TUPLES = ("n_grid", "k_grid")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one experiment run.
 
-    Counts are coerced to int and ``epsilon`` to float, so a config built in
-    code hashes like the same config read back from its JSON.
+    Counts are coerced to int and ``epsilon`` and ``targets`` to float, so a
+    config built in code hashes like the same config read back from its
+    JSON.  A count that is not a whole number (``trials=2.5``) raises
+    ``ValueError``; it is not truncated.
     """
 
     experiment: str
@@ -113,10 +123,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         kind = _kind(self.experiment)
-        for name, cast in _SCALAR_CASTS:
-            object.__setattr__(self, name, cast(getattr(self, name)))
-        for name, cast in _TUPLE_CASTS:
-            object.__setattr__(self, name, tuple(cast(v) for v in getattr(self, name)))
+        for name in _COUNTS:
+            object.__setattr__(self, name, _require_count(name, getattr(self, name)))
+        for name in _COUNT_TUPLES:
+            object.__setattr__(self, name, tuple(_require_count(name, v) for v in getattr(self, name)))
+        object.__setattr__(self, "targets", tuple(map(float, self.targets)))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         unknown = sorted(set(self.thresholds) - set(kind.thresholds))
         if unknown:
             raise ValueError(f"unknown {self.experiment} thresholds {unknown}; known: {sorted(kind.thresholds)}")

@@ -9,11 +9,12 @@ analytic rate/tail evaluators make the scheme's behaviour falsifiable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridDensity, PointSet, Route, cell_ids, route_length
+from .core import GridDensity, PointSet, Route, _path_length, cell_ids, route_length
 from .errors import CapacityError
 from .tsp import _distance_matrix, _held_karp, _layers, _path_to, strip_two_opt
 
@@ -55,11 +56,22 @@ class KtspResult:
         }
 
 
-def _validate_k(k: int, n: int) -> None:
+def _check_k(k: int) -> int:
+    """``k`` as an int; ValueError unless it is an integer of at least 2."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     if k < 2:
         raise ValueError("k must be at least 2")
+    return k
+
+
+def _validate_k(k: int, n: int) -> int:
+    k = _check_k(k)
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points n={n}")
+    return k
 
 
 def _grid_resolution(alpha: int, k: int, n: int, area: float) -> int:
@@ -67,13 +79,12 @@ def _grid_resolution(alpha: int, k: int, n: int, area: float) -> int:
     return max(m, 1)
 
 
-def _open_at_longest_edge(order: list[int], coords: np.ndarray) -> list[int]:
+def _open_at_longest_edge(order: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Cut a closed tour at its longest edge, yielding an open path."""
-    pts = coords[order]
-    nxt = np.roll(pts, -1, axis=0)
-    edges = np.hypot(pts[:, 0] - nxt[:, 0], pts[:, 1] - nxt[:, 1])
-    cut = int(np.argmax(edges))
-    return order[cut + 1 :] + order[: cut + 1]
+    pts = coords.take(order, axis=0)
+    gaps = pts - np.concatenate((pts[1:], pts[:1]))
+    cut = int(np.argmax(np.hypot(gaps[:, 0], gaps[:, 1]))) + 1
+    return np.concatenate((order[cut:], order[:cut]))
 
 
 def ktsp_grid_scheme(ps: PointSet, k: int) -> KtspResult:
@@ -88,32 +99,35 @@ def ktsp_grid_scheme(ps: PointSet, k: int) -> KtspResult:
     terminates.
     """
     n = len(ps)
-    _validate_k(k, n)
+    k = _validate_k(k, n)
     area = ps.square.area
     alpha = 0
     while True:
         alpha += 1
         m = _grid_resolution(alpha, k, n, area)
         ids = cell_ids(ps.coords, ps.square, m)
-        cells, counts = np.unique(ids, return_counts=True)
-        crowded = cells[counts >= k]
-        if crowded.size:
-            cell = int(crowded[0])
+        # a cell holds >= k points where k equal ids sit in a row once sorted;
+        # the first such run is the lowest crowded cell
+        srt = np.sort(ids)
+        full = srt[: n - k + 1] == srt[k - 1 :]
+        first = int(full.argmax())
+        if full[first]:
+            cell = int(srt[first])
             break
         if m == 1:  # single cell holds all n >= k points; unreachable guard
             raise RuntimeError("grid scheme failed to terminate")
 
     members = np.flatnonzero(ids == cell)
     cx, cy = ps.square.cell_center(m, cell)
-    d2 = (ps.coords[members, 0] - cx) ** 2 + (ps.coords[members, 1] - cy) ** 2
-    chosen = members[np.lexsort((members, d2))][:k]
+    pts = ps.coords.take(members, axis=0)
+    d2 = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2
+    chosen = members[np.argsort(d2, kind="stable")[:k]]  # members ascend: ties to the lower index
 
     sub = ps.subset(chosen, ps.square.cell(m, cell))
     tour = strip_two_opt(sub)
-    local_open = _open_at_longest_edge(list(tour.route.order), sub.coords)
-    order = tuple(int(chosen[i]) for i in local_open)
-    route = Route(order, closed=False)
-    return KtspResult(route, route_length(route, ps), alpha, cell)
+    path = chosen[_open_at_longest_edge(np.array(tour.route.order, dtype=np.intp), sub.coords)]
+    route = Route(tuple(path.tolist()), closed=False)
+    return KtspResult(route, _path_length(ps.coords.take(path, axis=0), closed=False), alpha, cell)
 
 
 def ktsp_nonuniform_scheme(ps: PointSet, d: GridDensity, k: int) -> KtspResult:
@@ -125,7 +139,7 @@ def ktsp_nonuniform_scheme(ps: PointSet, d: GridDensity, k: int) -> KtspResult:
     plain grid scheme on the whole square.
     """
     n = len(ps)
-    _validate_k(k, n)
+    k = _validate_k(k, n)
     if d.square != ps.square:
         raise ValueError("density and point set must share the bounding square")
     target = d.max_cell()
@@ -135,9 +149,10 @@ def ktsp_nonuniform_scheme(ps: PointSet, d: GridDensity, k: int) -> KtspResult:
         return ktsp_grid_scheme(ps, k)
     sub = ps.subset(members, d.cell_rect(target))
     inner = ktsp_grid_scheme(sub, k)
-    order = tuple(int(members[i]) for i in inner.route.order)
-    route = Route(order, closed=False)
-    return KtspResult(route, route_length(route, ps), inner.alpha_used, inner.cell_chosen, density_cell=target)
+    path = members[np.array(inner.route.order, dtype=np.intp)]
+    route = Route(tuple(path.tolist()), closed=False)
+    length = _path_length(ps.coords.take(path, axis=0), closed=False)
+    return KtspResult(route, length, inner.alpha_used, inner.cell_chosen, density_cell=target)
 
 
 def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
@@ -150,7 +165,7 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     paths of equal cost, the lowest-index predecessor wins at every step.
     """
     n = len(ps)
-    _validate_k(k, n)
+    k = _validate_k(k, n)
     dist = _distance_matrix(ps)
 
     if k == 2:
@@ -185,8 +200,7 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
 
 def ktsp_rate(k: int, n: int, area: float) -> float:
     """Constant-free growth-rate term (k-1) / n^((1/2)(1+1/(k-1))) * sqrt(area)."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    k = _check_k(k)
     if n < k:
         raise ValueError("n must be at least k")
     if not (math.isfinite(area) and area > 0):
@@ -201,8 +215,7 @@ def ktsp_tail_bound(k: int, n: int, area: float, threshold: float) -> float:
     Evaluated in log space as n^k * (2*pi*threshold^2 / area)^(k-1) / (2k-2)!
     to avoid overflow; a zero threshold gives probability zero.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    k = _check_k(k)
     if n < k:
         raise ValueError("n must be at least k")
     if not (math.isfinite(area) and area > 0):

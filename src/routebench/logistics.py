@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import _require_count
+
 __all__ = ["DispatchPlan", "FleetSize", "fleet_size_trp", "sdd_dispatch_tsp", "sdd_dispatch_trp"]
 
 _FEAS_TOL = 1e-9
@@ -57,13 +59,6 @@ def _require_finite(**args: float) -> None:
     for name, value in args.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _require_count(name: str, value: float) -> int:
-    """``value`` as an int; ValueError unless it is a whole number (1.0 is)."""
-    if value != math.floor(value):
-        raise ValueError(f"{name} must be a whole number, got {value}")
-    return int(value)
 
 
 def _trp_cost(m: float, c: float, w: float, N: float, b: float) -> float:

@@ -21,6 +21,7 @@ from .core import (
     Point,
     PointSet,
     Route,
+    _group_by_cell,
     cell_ids,
     latency_growth_constant,
     total_latency,
@@ -105,34 +106,35 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
     # holding stray points are served last under the same rule
     priority = np.lexsort((np.arange(m * m), -d.cells))
     start = np.array(depot, dtype=float) if depot is not None else np.array(d.square.origin, dtype=float)
+    by_cell, bounds = _group_by_cell(ids, m * m)
 
     order: list[int] = []
     visited_cells: list[int] = []
     last_positions: list[int] = []
     exit_pos = start
-    for cell in priority:
-        members = np.flatnonzero(ids == cell)
+    for cell in priority.tolist():
+        members = by_cell[bounds[cell] : bounds[cell + 1]]
         if members.size == 0:
             continue
-        sub = ps.subset(members, d.cell_rect(int(cell)))
-        tour = list(strip_two_opt(sub).route.order)
-        dists = np.hypot(sub.coords[tour, 0] - exit_pos[0], sub.coords[tour, 1] - exit_pos[1])
+        sub = ps.subset(members, d.cell_rect(cell))
+        tour = np.array(strip_two_opt(sub).route.order, dtype=np.intp)
+        pts = sub.coords.take(tour, axis=0)
+        dists = np.hypot(pts[:, 0] - exit_pos[0], pts[:, 1] - exit_pos[1])
         entry = int(np.argmin(dists))
-        path = tour[entry:] + tour[:entry]
-        order.extend(int(members[i]) for i in path)
-        visited_cells.append(int(cell))
+        order += members[np.concatenate((tour[entry:], tour[:entry]))].tolist()
+        visited_cells.append(cell)
         last_positions.append(len(order) - 1)
         exit_pos = ps.coords[order[-1]]
 
     route = Route(tuple(order), closed=False)
-    pts = ps.coords[list(order)]
+    pts = ps.coords.take(np.array(order, dtype=np.intp), axis=0)
     steps = np.hypot(*(np.diff(pts, axis=0).T)) if n > 1 else np.zeros(0)
     prefix = np.concatenate([[0.0], np.cumsum(steps)])
     depot_offset = 0.0
     if depot is not None:
         depot_offset = n * float(np.hypot(pts[0, 0] - depot.x, pts[0, 1] - depot.y))
     latency = total_latency(route, ps) + depot_offset
-    per_cell = tuple(float(prefix[p]) for p in last_positions)
+    per_cell = tuple(prefix[last_positions].tolist())
     return TrpResult(route, latency, tuple(visited_cells), per_cell, depot_offset)
 
 

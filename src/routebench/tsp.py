@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSet, Route, route_length
+from .core import PointSet, Route, _path_length, route_length
 from .errors import CapacityError
 
 __all__ = ["TspResult", "STRIP_SLACK", "strip_tour", "two_opt", "strip_two_opt", "tsp_exact"]
@@ -68,11 +68,11 @@ def strip_tour(ps: PointSet) -> TspResult:
     strips = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     h = ps.square.side / strips
     ys = ps.coords[:, 1] - ps.square.origin[1]
-    strip = np.clip(np.floor(ys / h).astype(np.int64), 0, strips - 1)
+    strip = np.minimum((ys / h).astype(np.int64), strips - 1)  # ys >= 0: truncation is the floor
     xs = np.where(strip % 2 == 0, ps.coords[:, 0], -ps.coords[:, 0])
     order = np.lexsort((xs, strip))
-    route = Route(tuple(int(i) for i in order), closed=True)
-    length = route_length(route, ps)
+    route = Route(tuple(order.tolist()), closed=True)
+    length = _path_length(ps.coords.take(order, axis=0), closed=True)
     assert length <= (2.0 * math.sqrt(n) + STRIP_SLACK) * ps.square.side + 1e-9
     return TspResult(route, length, "strip")
 
@@ -274,7 +274,7 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
     if t < 4:
         return TspResult(start, route_length(start, ps), "strip+2opt")
 
-    coords = ps.coords[list(order)]
+    coords = ps.coords.take(np.fromiter(order, dtype=np.intp, count=t), axis=0)
     pt = list(map(tuple, coords.tolist()))
     nbr, cands = _neighbor_lists(coords, min(NEIGHBORS, t - 1))
     dist = math.dist
@@ -369,7 +369,7 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
     if not moves:
         return TspResult(start, route_length(start, ps), "strip+2opt")
     k = pos[0]
-    route = Route(tuple(order[c] for c in tour[k:] + tour[:k]), closed=True)
+    route = Route(tuple(map(order.__getitem__, tour[k:] + tour[:k])), closed=True)
     length, start_length = route_length(route, ps), route_length(start, ps)
     if length > start_length:  # rounding only: every move shortens the tour by more than eps
         route, length = start, start_length

@@ -12,6 +12,7 @@ from routebench import (
     RandomSeed,
     Route,
     Square,
+    UNIT_SQUARE,
     bucket_counts,
     discretize_density,
     density_from_json,
@@ -25,6 +26,7 @@ from routebench import (
     save_points_csv,
     total_latency,
 )
+from routebench.core import cell_ids
 
 
 def make_ps(points, square=None):
@@ -54,6 +56,14 @@ class TestRouteMetrics:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
             Route((0, 0), closed=False)
+
+    def test_non_integral_indices_rejected(self):
+        # floats are rejected, not truncated to (0, 1, 2)
+        for order in ((0.7, 1.2, 2.9), (0, 1.0), (np.float64(2.0),), ("0", "1"), (None,)):
+            with pytest.raises(ValueError, match="integers"):
+                Route(order, closed=False)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Route((1, -2), closed=True)
 
     def test_latency_collinear(self):
         ps = make_ps([(0, 0), (1, 0), (3, 0)])
@@ -177,6 +187,22 @@ class TestBucketCounts:
         ps = PointSet.from_points([(5.0, 5.0)], Square((0.0, 0.0), 10.0))
         with pytest.raises(ValueError):
             bucket_counts(ps, d)
+
+    @pytest.mark.parametrize("m", [0, -2, 2.5, 2.0, "2", None])
+    def test_cell_ids_rejects_bad_resolution(self, m):
+        coords = np.array([[0.1, 0.2], [0.9, 0.9]])
+        with pytest.raises(ValueError, match="resolution m"):
+            cell_ids(coords, UNIT_SQUARE, m)
+
+    def test_cell_ids_numpy_resolution(self):
+        coords = np.array([[0.1, 0.3], [0.9, 0.9], [1.0, 0.0]])
+        ids = cell_ids(coords, UNIT_SQUARE, np.int64(4))
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [4, 15, 3]
+
+    def test_cell_ids_rejects_nan(self):
+        with pytest.raises(ValueError, match="outside"):
+            cell_ids(np.array([[0.5, math.nan]]), UNIT_SQUARE, 2)
 
     def test_boundary_edges_belong_to_last_cells(self):
         d = GridDensity.uniform(2)

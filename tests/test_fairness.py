@@ -246,3 +246,78 @@ class TestPopulationDensity:
         back = PopulationGridDensity.from_json(SEGREGATED.to_json())
         assert np.array_equal(back.layers, SEGREGATED.layers)
         assert back.square == SEGREGATED.square
+
+
+# Recorded with float.hex before cell grouping moved to one stable argsort.
+# The mixture always draws cell 6, which holds no points, so the sampler
+# pulls in the nearest nonempty cells (skipping the empty cells 5 and 7).
+FAIR_GOLDEN = {12: {'alpha_used': 1,
+      'augmented_cells': (2, 10, 1),
+      'cell_chosen': 0,
+      'length': '0x1.57dab777e45e4p-1',
+      'order': (43, 36, 28, 84, 74, 20, 83, 78, 48, 64, 30, 13),
+      'served_counts': (10, 2)},
+ 30: {'alpha_used': 1,
+      'augmented_cells': (2, 10, 1, 11),
+      'cell_chosen': 0,
+      'length': '0x1.30c8951fc6120p+1',
+      'order': (65, 21, 32, 49, 85, 23, 34, 6, 24, 81, 38, 11, 80, 2, 62, 31, 89, 79, 13, 30, 64, 48, 78, 83,
+                74, 84, 28, 36, 53, 43),
+      'served_counts': (9, 21)}}
+
+
+class TestFairSamplerGolden:
+    @pytest.mark.parametrize("k", list(FAIR_GOLDEN))
+    def test_augmented_draw_matches_recorded(self, k):
+        from routebench import FairnessMix
+
+        layers = np.zeros((2, 16))
+        layers[0, [0, 1, 4, 5]] = [3.0, 2.0, 2.0, 0.05]
+        layers[1, [10, 11, 14, 15, 2, 6]] = [2.0, 3.0, 1.5, 2.0, 0.4, 0.05]
+        layers *= 16 / layers.sum()
+        pop = PopulationGridDensity(4, layers)
+        q = np.zeros(16)
+        q[6] = 1.0
+        ps = sample_points(pop.total, 90, RandomSeed(77, 1))
+        assert np.bincount(cell_ids(ps.coords, pop.square, 4), minlength=16)[[5, 6, 7]].tolist() == [0, 0, 0]
+        result = fair_ktsp_sample(pop, FairnessMix(q, (6,), 0.0, 0.0), ps, k, RandomSeed(78, k))
+        want = FAIR_GOLDEN[k]
+        assert result.length.hex() == want["length"]
+        assert result.route.order == want["order"]
+        assert result.augmented_cells == want["augmented_cells"]
+        assert (result.alpha_used, result.cell_chosen) == (want["alpha_used"], want["cell_chosen"])
+        assert result.served_counts == want["served_counts"]
+        assert result.cell_sampled == 6
+
+
+def test_served_point_in_zero_density_cell_rejected():
+    # cell 1 has no population; a stray point there cannot get a label
+    from routebench import FairnessMix, PointSet
+
+    pop = PopulationGridDensity(2, np.array([[2.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+    ps = PointSet(np.array([[0.7, 0.1], [0.8, 0.2], [0.9, 0.1], [0.1, 0.1]]))
+    mix = FairnessMix(np.array([0.0, 1.0, 0.0, 0.0]), (1,), 0.0, 0.0)
+    with pytest.raises(ValueError):
+        fair_ktsp_sample(pop, mix, ps, 2, RandomSeed(1))
+
+
+def test_served_labels_match_per_point_choice():
+    # reference: one rng.choice(populations, p=shares) per served point, in
+    # route order, after the draw of the cell
+    rng = np.random.default_rng(93)
+    for trial in range(40):
+        m, P = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        layers = rng.random((P, m * m)) + 0.01
+        layers *= (m * m) / layers.sum()
+        pop = PopulationGridDensity(m, layers)
+        mix = fairness_lp(pop, 3, list(pop.population_shares()), 0.0)
+        ps = sample_points(pop.total, 60, RandomSeed(94, trial))
+        result = fair_ktsp_sample(pop, mix, ps, 3 + trial % 5, RandomSeed(95, trial))
+        ref = RandomSeed(95, trial).generator()
+        ref.choice(m * m, p=mix.q)
+        ids = cell_ids(ps.coords, pop.square, m)
+        counts = [0] * P
+        for i in result.route.order:
+            c = ids[i]
+            counts[int(ref.choice(P, p=pop.layers[:, c] / pop.total.cells[c]))] += 1
+        assert result.served_counts == tuple(counts)

@@ -220,6 +220,31 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 small_config(tmp_path, workers=workers)
 
+    def test_fractional_trials(self, tmp_path):
+        for trials in (2.5, 8.000001, math.nan, math.inf, "8"):
+            with pytest.raises(ValueError, match="trials"):
+                small_config(tmp_path, trials=trials)
+        assert small_config(tmp_path, trials=8.0).trials == 8  # a whole float is a count
+
+    def test_fractional_n_grid(self, tmp_path):
+        with pytest.raises(ValueError, match="n_grid"):
+            small_config(tmp_path, n_grid=(100.7, 200))
+        assert small_config(tmp_path, n_grid=(50.0, np.int64(100))).n_grid == (50, 100)
+
+    def test_fractional_k_grid(self, tmp_path):
+        with pytest.raises(ValueError, match="k_grid"):
+            small_config(tmp_path, k_grid=(2.5,))
+        with pytest.raises(ValueError, match="k_grid"):
+            dataclasses.replace(default_config("fairness-audit"), k_grid=(4.2,))
+
+    def test_cli_rejects_fractional_counts(self, tmp_path):
+        cfg = small_config(tmp_path).canonical() | {"out_dir": str(tmp_path / "run")}
+        cfg["n_grid"] = [100.7, 200]
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert not (tmp_path / "run").exists()  # rejected before any trial ran
+
     def test_default_config_unknown_kind(self):
         with pytest.raises(ValueError):
             default_config("nope")

@@ -217,6 +217,29 @@ class TestRateAndTail:
         with pytest.raises(ValueError):
             ktsp_rate(3, 2, 1.0)
 
+    @pytest.mark.parametrize("k", [2.5, 4.0, np.float64(3.0), "3", None])
+    def test_non_integer_k_rejected(self, k):
+        # every k-taking entry point shares one check: ValueError, never a
+        # truncated k or a TypeError from deep inside
+        ps = sample_points(GridDensity.uniform(1), 10, RandomSeed(720))
+        calls = [
+            lambda: ktsp_rate(k, 10, 1.0),
+            lambda: ktsp_tail_bound(k, 10, 1.0, 0.1),
+            lambda: ktsp_grid_scheme(ps, k),
+            lambda: ktsp_nonuniform_scheme(ps, GridDensity.uniform(2), k),
+            lambda: ktsp_exact(ps, k),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="k must be an integer"):
+                call()
+
+    def test_numpy_integer_k_accepted(self):
+        ps = sample_points(GridDensity.uniform(1), 10, RandomSeed(721))
+        assert ktsp_rate(np.int64(3), 16, 1.0) == ktsp_rate(3, 16, 1.0)
+        assert ktsp_tail_bound(np.int32(3), 16, 1.0, 0.1) == ktsp_tail_bound(3, 16, 1.0, 0.1)
+        assert ktsp_grid_scheme(ps, np.int64(4)) == ktsp_grid_scheme(ps, 4)
+        assert ktsp_exact(ps, np.int64(4)) == ktsp_exact(ps, 4)
+
     @pytest.mark.parametrize("area", [math.nan, math.inf, -math.inf])
     def test_rate_rejects_non_finite_area(self, area):
         with pytest.raises(ValueError):

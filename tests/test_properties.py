@@ -1,0 +1,93 @@
+"""Property tests over arbitrary squares, resolutions and orders.
+
+Hypothesis runs derandomized, so every run draws the same examples.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from routebench import PointSet, Route, Square, ktsp_grid_scheme, route_length
+from routebench.core import cell_ids
+from routebench.ktsp import _grid_resolution
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+squares = st.builds(
+    Square,
+    st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+    st.floats(0.01, 100),
+)
+
+
+def points_in(square: Square, fractions: list[tuple[float, float]]) -> np.ndarray:
+    """Points at the given fractions of the square's side; u <= 1 keeps
+    origin + u * side inside the closed square under rounding."""
+    u = np.array(fractions, dtype=np.float64).reshape(-1, 2)
+    return np.asarray(square.origin) + u * square.side
+
+
+fractions = st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=60)
+
+
+class TestRouteContract:
+    @PROPERTY
+    @given(st.lists(st.integers(-5, 40), max_size=12), st.booleans())
+    def test_accepts_exactly_distinct_nonnegative_ints(self, order, closed):
+        valid = all(i >= 0 for i in order) and len(set(order)) == len(order)
+        if valid:
+            route = Route(tuple(order), closed)
+            assert route.order == tuple(order)
+        else:
+            with pytest.raises(ValueError):
+                Route(tuple(order), closed)
+
+    @PROPERTY
+    @given(st.permutations(range(12)), st.integers(0, 12), st.sampled_from([np.int32, np.int64, np.uint16, int]))
+    def test_prefixes_of_permutations_in_any_int_type(self, perm, size, cast):
+        order = [cast(i) for i in perm[:size]]
+        route = Route(order, closed=False)
+        assert route.order == tuple(perm[:size])
+        assert all(type(i) is int for i in route.order)
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True), st.data())
+    def test_rejects_any_float_index(self, order, data):
+        at = data.draw(st.integers(0, len(order) - 1))
+        mixed = list(order)
+        mixed[at] = data.draw(st.sampled_from([float, np.float64]))(mixed[at])
+        with pytest.raises(ValueError):
+            Route(tuple(mixed), closed=False)
+
+
+class TestCellIds:
+    @PROPERTY
+    @given(squares, st.integers(1, 20), fractions)
+    def test_grouped_points_lie_in_their_cell(self, square, m, fracs):
+        coords = points_in(square, fracs)
+        ids = cell_ids(coords, square, m)
+        assert ids.dtype == np.int64 and ids.shape == (len(coords),)
+        assert np.all((ids >= 0) & (ids < m * m))
+        tol = 1e-9 * (square.side + max(map(abs, square.origin)))
+        for cell in np.unique(ids).tolist():
+            rect = square.cell(m, cell)
+            pts = coords[ids == cell]
+            assert np.all(pts >= np.asarray(rect.origin) - tol)
+            assert np.all(pts <= np.asarray(rect.origin) + rect.side + tol)
+
+
+class TestGridScheme:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(squares, st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=2, max_size=80), st.data())
+    def test_k_distinct_points_inside_chosen_cell(self, square, fracs, data):
+        ps = PointSet(points_in(square, fracs), square)
+        n = len(ps)
+        k = data.draw(st.integers(2, n))
+        result = ktsp_grid_scheme(ps, k)
+        order = result.route.order
+        assert len(order) == k and len(set(order)) == k
+        assert all(0 <= i < n for i in order)
+        m = _grid_resolution(result.alpha_used, k, n, square.area)
+        assert np.all(cell_ids(ps.coords[list(order)], square, m) == result.cell_chosen)
+        assert result.length == route_length(result.route, ps)

@@ -210,3 +210,88 @@ class TestFactorCheck:
             matched_vals.append(trp_factor_check(ps, d))
             mismatched_vals.append(trp_factor_check(ps, mismatched))
         assert np.mean(matched_vals) <= np.mean(mismatched_vals)
+
+
+# Recorded with float.hex before cell grouping moved to one stable argsort:
+# an m = 8 density with zero cells, 70 sampled points (so many cells stay
+# empty) plus stray points in the zero-density cells 3 and 63, which are
+# served last.  Keyed by depot.
+TRP_GOLDEN = {None: {'cell_order': (0, 9, 27, 1, 2, 4, 5, 8, 11, 12, 13, 14, 16, 18, 21, 22, 23, 26, 28, 29, 30, 31, 32,
+                       33, 35, 36, 37, 39, 42, 45, 46, 47, 49, 50, 51, 52, 53, 54, 56, 58, 60, 3, 63),
+        'depot_offset': '0x0.0p+0',
+        'latency': '0x1.e67020abc8e39p+8',
+        'order': (22, 58, 34, 57, 40, 5, 63, 43, 23, 35, 51, 28, 65, 18, 39, 42, 56, 19, 50, 61, 8, 55, 4, 31,
+                  9, 11, 13, 25, 37, 16, 14, 17, 21, 64, 52, 15, 2, 49, 3, 69, 54, 0, 62, 47, 1, 26, 46, 29,
+                  20, 24, 45, 38, 68, 30, 44, 60, 53, 27, 41, 36, 33, 6, 59, 10, 32, 66, 67, 7, 48, 12, 71,
+                  72, 70, 73),
+        'per_cell_last_latency': ('0x1.5306b4b5cf94cp-4', '0x1.a01cc550690fbp-2', '0x1.a5b4f52056f47p-1',
+                                  '0x1.58d3160529f00p+0', '0x1.92d21bd0b1ff1p+0', '0x1.cee62bf6ebcf0p+0',
+                                  '0x1.fa2412e074b0ap+0', '0x1.4e380fb8452a6p+1', '0x1.707b76701ac8ep+1',
+                                  '0x1.87d8c62f196b0p+1', '0x1.9a8aa6249f3bap+1', '0x1.ab8f27e6f5322p+1',
+                                  '0x1.0318862af86fcp+2', '0x1.0f1ba7ed59b63p+2', '0x1.2613418feb45dp+2',
+                                  '0x1.374e36556b43ep+2', '0x1.42059d99e5757p+2', '0x1.7004187ca30b0p+2',
+                                  '0x1.860914974b170p+2', '0x1.8d919c7fda466p+2', '0x1.93a0c1c55968dp+2',
+                                  '0x1.a1fca53a26c8cp+2', '0x1.e6180448677f7p+2', '0x1.f55e94e667a46p+2',
+                                  '0x1.02f341c8ea2b9p+3', '0x1.067d4bcb5d7cbp+3', '0x1.0af94b44a25c7p+3',
+                                  '0x1.149cbdd8bdd08p+3', '0x1.2a2eb341eeda8p+3', '0x1.360a91e61836ep+3',
+                                  '0x1.3baf82d7983a9p+3', '0x1.40726cfb3e55bp+3', '0x1.5b2e6afce9693p+3',
+                                  '0x1.603bc9277aa65p+3', '0x1.635502f53e1ddp+3', '0x1.6c486d831e25dp+3',
+                                  '0x1.6eaf15e274236p+3', '0x1.73c8208487de3p+3', '0x1.8c57ca5b5d013p+3',
+                                  '0x1.96f0fbcacc8d9p+3', '0x1.a1f1bd5a29bcfp+3', '0x1.c0d3a42d5bf9cp+3',
+                                  '0x1.e457490054491p+3')},
+ (0.5, 0.5): {'cell_order': (0, 9, 27, 1, 2, 4, 5, 8, 11, 12, 13, 14, 16, 18, 21, 22, 23, 26, 28, 29, 30, 31,
+                             32, 33, 35, 36, 37, 39, 42, 45, 46, 47, 49, 50, 51, 52, 53, 54, 56, 58, 60, 3,
+                             63),
+              'depot_offset': '0x1.61842b506f574p+5',
+              'latency': '0x1.0a62a683ba437p+9',
+              'order': (40, 5, 22, 58, 34, 57, 63, 43, 23, 35, 51, 28, 65, 18, 39, 42, 56, 19, 50, 61, 8, 55,
+                        4, 31, 9, 11, 13, 25, 37, 16, 14, 17, 21, 64, 52, 15, 2, 49, 3, 69, 54, 0, 62, 47, 1,
+                        26, 46, 29, 20, 24, 45, 38, 68, 30, 44, 60, 53, 27, 41, 36, 33, 6, 59, 10, 32, 66, 67,
+                        7, 48, 12, 71, 72, 70, 73),
+              'per_cell_last_latency': ('0x1.ba7b9c68940f3p-4', '0x1.bdc954caef8d5p-2',
+                                        '0x1.b48b3cdd9a334p-1', '0x1.603e39e3cb8f7p+0',
+                                        '0x1.9a3d3faf539e8p+0', '0x1.d6514fd58d6e7p+0',
+                                        '0x1.00c79b5f8b280p+1', '0x1.51eda1a795fa0p+1',
+                                        '0x1.7431085f6b988p+1', '0x1.8b8e581e6a3aap+1',
+                                        '0x1.9e403813f00b4p+1', '0x1.af44b9d64601cp+1',
+                                        '0x1.04f34f22a0d79p+2', '0x1.10f670e5021e0p+2',
+                                        '0x1.27ee0a8793adap+2', '0x1.3928ff4d13abbp+2',
+                                        '0x1.43e066918ddd4p+2', '0x1.71dee1744b72dp+2',
+                                        '0x1.87e3dd8ef37edp+2', '0x1.8f6c657782ae3p+2',
+                                        '0x1.957b8abd01d0ap+2', '0x1.a3d76e31cf309p+2',
+                                        '0x1.e7f2cd400fe74p+2', '0x1.f7395dde100c3p+2',
+                                        '0x1.03e0a644be5f7p+3', '0x1.076ab04731b09p+3',
+                                        '0x1.0be6afc076905p+3', '0x1.158a225492046p+3',
+                                        '0x1.2b1c17bdc30e6p+3', '0x1.36f7f661ec6acp+3',
+                                        '0x1.3c9ce7536c6e7p+3', '0x1.415fd17712899p+3',
+                                        '0x1.5c1bcf78bd9d1p+3', '0x1.61292da34eda3p+3',
+                                        '0x1.644267711251bp+3', '0x1.6d35d1fef259bp+3',
+                                        '0x1.6f9c7a5e48574p+3', '0x1.74b585005c121p+3',
+                                        '0x1.8d452ed731351p+3', '0x1.97de6046a0c17p+3',
+                                        '0x1.a2df21d5fdf0dp+3', '0x1.c1c108a9302dap+3',
+                                        '0x1.e544ad7c287cfp+3')}}
+
+
+def golden_trp_instance():
+    levels = np.ones(64)
+    levels[[3, 10, 17, 40, 41, 63]] = 0.0
+    levels[[0, 9, 27]] = 4.0
+    d = GridDensity.from_raw(8, levels)
+    sampled = sample_points(d, 70, RandomSeed(2024, 5))
+    stray = np.array([[0.40, 0.05], [0.45, 0.12], [0.41, 0.09], [0.99, 0.99]])
+    return PointSet(np.vstack([sampled.coords, stray]), d.square), d
+
+
+class TestAprioriGolden:
+    @pytest.mark.parametrize("depot", list(TRP_GOLDEN))
+    def test_matches_recorded_route_and_latency(self, depot):
+        ps, d = golden_trp_instance()
+        result = trp_apriori_scheme(ps, d, None if depot is None else Point(*depot))
+        want = TRP_GOLDEN[depot]
+        assert result.latency.hex() == want["latency"]
+        assert result.depot_offset.hex() == want["depot_offset"]
+        assert result.route.order == want["order"]
+        assert result.cell_order == want["cell_order"]
+        assert tuple(v.hex() for v in result.per_cell_last_latency) == want["per_cell_last_latency"]
+        assert result.cell_order[-2:] == (3, 63)  # zero-density cells go last
+        assert len(result.cell_order) < 64  # some cells are empty

@@ -79,6 +79,15 @@ class TestStripTour:
         result = strip_tour(ps)
         assert result.length == pytest.approx(route_length(result.route, ps), rel=1e-12)
 
+    def test_length_is_route_length_bit_for_bit(self):
+        # strip_tour measures its own lexsort order; route_length must agree exactly
+        square = Square((-3.5, 2.25), 8.0)
+        for n in (2, 3, 17, 400, 1601):
+            ps = sample_points(GridDensity.uniform(3, square), n, RandomSeed(10, n))
+            result = strip_tour(ps)
+            assert all(type(i) is int for i in result.route.order)
+            assert result.length.hex() == route_length(result.route, ps).hex()
+
 
 class TestTwoOpt:
     def test_optimal_square_unchanged(self):
