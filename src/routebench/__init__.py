@@ -17,14 +17,11 @@ from .core import (
     Route,
     Square,
     UNIT_SQUARE,
-    bucket_counts,
-    discretize_density,
     density_from_json,
     density_to_json,
     last_latency,
     latency_growth_constant,
     load_points_csv,
-    pdf_cell_mass,
     route_length,
     sample_points,
     save_points_csv,
@@ -40,7 +37,6 @@ from .fairness import (
     fair_ktsp_sample,
     fairness_lp,
     geographic_service_map,
-    grid_scheme_handle,
     nonuniform_scheme_handle,
     random_subset_scheme,
 )
@@ -77,7 +73,7 @@ from .trp import (
     trp_exact,
     trp_factor_check,
 )
-from .tsp import STRIP_SLACK, TspResult, strip_tour, strip_two_opt, tsp_exact, two_opt
+from .tsp import TspResult, strip_tour, strip_two_opt, tsp_exact, two_opt
 
 __version__ = "0.1.0"
 
@@ -100,25 +96,21 @@ __all__ = [
     "RandomSeed",
     "RateFit",
     "Route",
-    "STRIP_SLACK",
     "ServiceMap",
     "Square",
     "TrpResult",
     "TspResult",
     "UNIT_SQUARE",
     "WeightedSubpath",
-    "bucket_counts",
     "default_config",
     "density_from_json",
     "density_to_json",
     "deterministic_fairness_ratio",
-    "discretize_density",
     "fair_ktsp_sample",
     "fairness_lp",
     "fit_loglog_slope",
     "fleet_size_trp",
     "geographic_service_map",
-    "grid_scheme_handle",
     "ktsp_exact",
     "ktsp_grid_scheme",
     "ktsp_nonuniform_scheme",
@@ -129,7 +121,6 @@ __all__ = [
     "load_points_csv",
     "nonuniform_scheme_handle",
     "optimal_subpath_order",
-    "pdf_cell_mass",
     "random_subset_scheme",
     "route_length",
     "run_experiment",

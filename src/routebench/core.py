@@ -18,7 +18,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,11 +35,8 @@ __all__ = [
     "total_latency",
     "last_latency",
     "sample_points",
-    "bucket_counts",
     "cell_ids",
     "latency_growth_constant",
-    "discretize_density",
-    "pdf_cell_mass",
     "stable_stream",
     "save_points_csv",
     "load_points_csv",
@@ -372,12 +369,6 @@ def _group_by_cell(ids: np.ndarray, cells: int) -> tuple[np.ndarray, list[int]]:
     return by_cell, start
 
 
-def bucket_counts(ps: PointSet, d: GridDensity) -> np.ndarray:
-    """Number of points in each cell of the density's grid."""
-    ids = cell_ids(ps.coords, d.square, d.m)
-    return np.bincount(ids, minlength=d.m * d.m)
-
-
 def sample_points(d: GridDensity, n: int, seed: RandomSeed) -> PointSet:
     """Draw n i.i.d. points: pick a cell by its mass, then uniform within it."""
     if n < 0:
@@ -413,40 +404,6 @@ def latency_growth_constant(d: GridDensity) -> float:
     below = np.cumsum(mass) - mass
     base = float(np.sum(np.sqrt(levels) * weights * (0.5 * mass + below)))
     return d.square.side * base
-
-
-def discretize_density(mass_fn: Callable[[Square], float], m: int, square: Square = UNIT_SQUARE) -> GridDensity:
-    """Build a grid density from a per-cell mass evaluator.
-
-    ``mass_fn`` receives each cell rectangle and returns its (exact or
-    numerically integrated) probability mass; the result is rescaled so the
-    cell values average to one.
-    """
-    if m < 1:
-        raise ValueError("grid resolution m must be at least 1")
-    masses = np.empty(m * m)
-    for k in range(m * m):
-        mass = float(mass_fn(square.cell(m, k)))
-        if not math.isfinite(mass) or mass < 0:
-            raise ValueError(f"cell {k} has invalid mass {mass}")
-        masses[k] = mass
-    return GridDensity.from_raw(m, masses, square)
-
-
-def pdf_cell_mass(pdf: Callable[[float, float], float], order: int = 8) -> Callable[[Square], float]:
-    """Cell-mass evaluator for a pointwise density via tensor Gauss quadrature."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-
-    def mass(cell: Square) -> float:
-        half = cell.side / 2.0
-        cx = cell.origin[0] + half
-        cy = cell.origin[1] + half
-        xs = cx + half * nodes
-        ys = cy + half * nodes
-        vals = np.array([[pdf(x, y) for x in xs] for y in ys])
-        return float(weights @ vals @ weights) * half * half
-
-    return mass
 
 
 # ---------------------------------------------------------------------------

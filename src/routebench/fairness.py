@@ -7,9 +7,11 @@ over cells: a small linear program picks cell probabilities that hit the
 target served proportions per population while favouring dense cells, and
 a randomized sampler draws a cell from that mixture before routing.
 
-The program is solved by exact enumeration of basic feasible solutions,
-which keeps the guaranteed sparse support observable: at most P cells get
-positive probability under hard constraints, P + 1 under a tolerance.
+The program is solved by a two-phase simplex with Bland's anti-cycling
+rule on a dense tableau, with no size cap.  It returns a basic optimal
+solution, which keeps the guaranteed sparse support observable: at most P
+cells get positive probability under hard constraints, P + 1 under a
+tolerance.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridDensity, PointSet, RandomSeed, Route, Square, cell_ids, sample_points
-from .core import _group_by_cell, _path_length, _square_from_json
+from .core import _group_by_cell, _path_length, _require_count, _square_from_json
 from .errors import InfeasibleError
-from .ktsp import KtspResult, ktsp_grid_scheme, ktsp_nonuniform_scheme
+from .ktsp import KtspResult, _check_k, ktsp_grid_scheme, ktsp_nonuniform_scheme
 
 __all__ = [
     "PopulationGridDensity",
@@ -36,13 +38,8 @@ __all__ = [
     "geographic_service_map",
     "deterministic_fairness_ratio",
     "random_subset_scheme",
-    "grid_scheme_handle",
     "nonuniform_scheme_handle",
 ]
-
-# Candidate basic systems above this count make exact enumeration impractical.
-MAX_LP_CANDIDATES = 2_000_000
-
 
 @dataclass(frozen=True, eq=False)
 class PopulationGridDensity:
@@ -128,6 +125,58 @@ class FairKtspResult(KtspResult):
     augmented_cells: tuple[int, ...] = ()
 
 
+_TOL = 1e-9
+
+
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Gauss-Jordan step: make ``col`` the unit column of ``row`` in ``T``."""
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+
+
+def _bland(T: np.ndarray, basis: np.ndarray, columns: int) -> None:
+    """Minimize the tableau's last row by Bland's rule over the first ``columns``.
+
+    The entering column is the lowest-index one with negative reduced cost;
+    the leaving row has the minimum ratio, the lowest basic index on ties.
+    The program is bounded, so an improving column always has a positive
+    entry to pivot on.
+    """
+    while True:
+        improving = np.flatnonzero(T[-1, :columns] < -_TOL)
+        if improving.size == 0:
+            return
+        col = int(improving[0])
+        rows = np.flatnonzero(T[:-1, col] > _TOL)
+        ratio = T[rows, -1] / T[rows, col]
+        ties = rows[ratio <= ratio.min() + 1e-12]
+        row = int(ties[np.argmin(basis[ties])])
+        _pivot(T, row, col)
+        basis[row] = col
+
+
+def _row_systems(targets: np.ndarray, epsilon: float, d: int):
+    """Square systems of d active rows, as (row indices, right-hand side).
+
+    Row 0 is the simplex row, row 1 + i population i's band; at most one
+    side of a band is active.  Order: with the simplex row first, then
+    populations ascending, the upper side before the lower.
+    """
+    P = targets.size
+    sides = (0.0,) if epsilon == 0 else (1.0, -1.0)
+    for use_simplex in (True, False):
+        need = d - use_simplex
+        if not 0 <= need <= P:
+            continue
+        for pops in combinations(range(P), need):
+            for signs in product(sides, repeat=need):
+                idx = [0] * use_simplex + [1 + i for i in pops]
+                rhs = [1.0] * use_simplex + [float(targets[i] + s * epsilon) for i, s in zip(pops, signs)]
+                yield np.array(idx), np.array(rhs)
+
+
 def fairness_lp(
     pop: PopulationGridDensity,
     k: int,
@@ -140,13 +189,17 @@ def fairness_lp(
     simplex subject to |sum_j q_j f_ij / f_j - p_i| <= epsilon for every
     population i; zero-density cells are excluded from the variables.
 
-    Solved exactly: every basic feasible solution (vertex) of the polytope
-    is enumerated and the best one returned, so the support-size guarantee
-    holds by construction.  Raises :class:`InfeasibleError` naming the most
-    violated population when no vertex is feasible.
+    Solved by a two-phase simplex with Bland's rule, which returns a basic
+    optimal solution, so the support-size guarantee holds.  q is then
+    re-solved on that support from the active rows, the simplex row first,
+    then populations ascending, the upper band side first; the first system
+    with the best objective wins.  Among equal-objective vertices (every
+    supported cell of the same total density) the one Bland's rule reaches
+    is returned.  Raises :class:`InfeasibleError` when Phase I cannot meet
+    every row, naming the population with the largest band violation at
+    the Phase I point (the lowest index on ties).
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    k = _check_k(k)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
     targets = np.asarray(p, dtype=np.float64)
@@ -162,104 +215,87 @@ def fairness_lp(
     ratios = pop.layers[:, supported] / f[supported]  # (P, J)
     beta = 0.5 * (1.0 + 1.0 / (k - 1))
     costs = f[supported] ** (-beta)
-
     rows = np.vstack([np.ones(J), ratios])  # row 0: simplex; row 1+i: population i
 
-    def candidate_systems(d: int):
-        # active-row choices: the simplex row is optional, at most one side
-        # of each population band, d rows total
-        sides = (0.0,) if epsilon == 0 else (1.0, -1.0)
-        for use_simplex in (True, False):
-            need = d - (1 if use_simplex else 0)
-            if need < 0 or need > P:
-                continue
-            for pops in combinations(range(P), need):
-                for signs in product(sides, repeat=need):
-                    idx = ([0] if use_simplex else []) + [1 + i for i in pops]
-                    rhs = ([1.0] if use_simplex else []) + [
-                        float(targets[i] + s * epsilon) for i, s in zip(pops, signs)
-                    ]
-                    yield np.array(idx), np.array(rhs)
+    # equality form over [q, band slacks]: one row per population at
+    # epsilon = 0, else an upper and a lower band row, each with a slack
+    if epsilon == 0:
+        A, b = rows, np.concatenate([[1.0], targets])
+    else:
+        eye = np.eye(P)
+        A = np.block([[rows[:1], np.zeros((1, 2 * P))], [ratios, eye, 0 * eye], [ratios, 0 * eye, -eye]])
+        b = np.concatenate([[1.0], targets + epsilon, targets - epsilon])
+    A = A * np.where(b < 0, -1.0, 1.0)[:, None]
+    b = np.abs(b)
+    R, N = A.shape
 
-    max_support = min(J, P if epsilon == 0 else P + 1)
-    tol = 1e-9
-
-    best: tuple[float, int, tuple, np.ndarray] | None = None
-    least_violation: tuple[float, int] | None = None  # (violation, population)
-
-    n_candidates = sum(
-        math.comb(J, d) * (math.comb(P, d - 1) * (1 if epsilon == 0 else 2) ** (d - 1) + math.comb(P, d) * (1 if epsilon == 0 else 2) ** d)
-        for d in range(1, max_support + 1)
-    )
-    if n_candidates > MAX_LP_CANDIDATES:
-        raise ValueError(
-            f"vertex enumeration would examine {n_candidates} systems; "
-            "reduce the grid resolution or the number of populations"
-        )
-
-    for d in range(1, max_support + 1):
-        supports = np.array(list(combinations(range(J), d)), dtype=np.int64)
-        for row_idx, rhs in candidate_systems(d):
-            mats = rows[row_idx][:, supports]  # (d, n_s, d)
-            mats = np.moveaxis(mats, 1, 0)  # (n_s, d, d)
-            dets = np.linalg.det(mats)
-            solvable = np.abs(dets) > 1e-12
-            if not np.any(solvable):
-                continue
-            nb = int(solvable.sum())
-            b = np.tile(rhs.reshape(1, d, 1), (nb, 1, 1))
-            try:
-                sols = np.linalg.solve(mats[solvable], b)[..., 0]
-            except np.linalg.LinAlgError:
-                # a matrix slipped past the determinant filter; solve one by one
-                sols = np.full((nb, d), np.nan)
-                for r, mat in enumerate(mats[solvable]):
-                    try:
-                        sols[r] = np.linalg.solve(mat, rhs)
-                    except np.linalg.LinAlgError:
-                        pass
-            for S, q_s in zip(supports[solvable], sols):
-                if not np.all(np.isfinite(q_s)) or np.any(q_s < -tol):
-                    continue
-                q = np.zeros(J)
-                q[S] = np.clip(q_s, 0.0, None)
-                if abs(q.sum() - 1.0) > tol:
-                    continue
-                served = ratios @ q
-                violation = np.abs(served - targets) - epsilon
-                worst = int(np.argmax(violation))
-                if least_violation is None or violation[worst] < least_violation[0]:
-                    least_violation = (float(violation[worst]), worst)
-                if violation[worst] > tol:
-                    continue
-                obj = float(costs @ q)
-                key = (obj, len(S), tuple(S), q)
-                if best is None or (obj < best[0] - 1e-12) or (
-                    abs(obj - best[0]) <= 1e-12 and (len(S), tuple(S)) < (best[1], best[2])
-                ):
-                    best = key
-
-    if best is None:
-        if least_violation is not None:
-            worst = least_violation[1]
-        else:
-            # no solvable vertex at all: blame the population whose target is
-            # farthest outside its attainable served range
-            lo = ratios.min(axis=1)
-            hi = ratios.max(axis=1)
-            gap = np.maximum(lo - targets, targets - hi)
-            worst = int(np.argmax(gap))
+    # Phase I: one artificial per row, minimize their sum
+    T = np.zeros((R + 1, N + R + 1))
+    T[:R, :N] = A
+    T[:R, N : N + R] = np.eye(R)
+    T[:R, -1] = b
+    T[-1, :N] = -A.sum(axis=0)
+    T[-1, -1] = -b.sum()
+    basis = np.arange(N, N + R)
+    _bland(T, basis, N + R)
+    if -T[-1, -1] > _TOL:
+        q = np.zeros(N)
+        q[basis[basis < N]] = T[:R, -1][basis < N]
+        worst = int(np.argmax(np.abs(ratios @ q[:J] - targets) - epsilon))
         raise InfeasibleError(
             f"fairness constraints are infeasible; population {worst} cannot reach "
             f"its target proportion within epsilon={epsilon}",
             population=worst,
         )
 
+    # an artificial still basic sits at zero: pivot it out, or drop its
+    # redundant row (at epsilon = 0 the population rows sum to the simplex row)
+    for i in np.flatnonzero(basis >= N):
+        col = int(np.argmax(np.abs(T[i, :N])))
+        if abs(T[i, col]) > _TOL:
+            T[i, -1] = 0.0
+            _pivot(T, i, col)
+            basis[i] = col
+    keep = np.flatnonzero(basis < N)
+    T = np.vstack([T[keep][:, np.r_[:N, -1]], np.zeros(N + 1)])
+    basis = basis[keep]
+
+    # Phase II: the cost row over the cells, zero on the slacks
+    c = np.zeros(N)
+    c[:J] = costs
+    T[-1, :N] = c
+    T[-1] -= c[basis] @ T[:-1]
+    _bland(T, basis, N)
+
+    cells = basis < J
+    S = np.sort(basis[cells & (T[:-1, -1] > _TOL)])
+    best_obj, best_q = math.inf, None
+    for row_idx, rhs in _row_systems(targets, epsilon, S.size):
+        mat = rows[np.ix_(row_idx, S)]
+        if abs(np.linalg.det(mat)) <= 1e-12:
+            continue
+        q_s = np.linalg.solve(mat, rhs)
+        if np.any(q_s < -_TOL):
+            continue
+        q = np.zeros(J)
+        q[S] = np.clip(q_s, 0.0, None)
+        if abs(q.sum() - 1.0) > _TOL or np.max(np.abs(ratios @ q - targets)) - epsilon > _TOL:
+            continue
+        obj = float(costs @ q)
+        if obj < best_obj - 1e-12:
+            best_obj, best_q = obj, q
+    if best_q is None:
+        # an ill-conditioned support: every row system on it fails the
+        # determinant filter, so keep the simplex's own basic solution
+        best_q = np.zeros(J)
+        best_q[basis[cells]] = np.clip(T[:-1, -1][cells], 0.0, None)
+        best_obj = float(costs @ best_q)
+
     q_full = np.zeros(f.size)
-    q_full[supported] = best[3]
+    q_full[supported] = best_q
     support = tuple(np.flatnonzero(q_full > 1e-12).tolist())
     q_full.setflags(write=False)
-    return FairnessMix(q_full, support, best[0], epsilon)
+    return FairnessMix(q_full, support, best_obj, epsilon)
 
 
 def fair_ktsp_sample(
@@ -351,10 +387,6 @@ def random_subset_scheme(ps: PointSet, d: GridDensity, k: int, rng: np.random.Ge
     return rng.choice(len(ps), size=k, replace=False)
 
 
-def grid_scheme_handle(ps: PointSet, d: GridDensity, k: int, rng: np.random.Generator):
-    return ktsp_grid_scheme(ps, k).route.order
-
-
 def nonuniform_scheme_handle(ps: PointSet, d: GridDensity, k: int, rng: np.random.Generator):
     return ktsp_nonuniform_scheme(ps, d, k).route.order
 
@@ -385,6 +417,9 @@ def geographic_service_map(
     z: float = 1.96,
 ) -> ServiceMap:
     """Estimate per-cell service probabilities for a k-subset scheme."""
+    k = _check_k(k)
+    n = _require_count("n", n)
+    trials = _require_count("trials", trials)
     if trials < 1:
         raise ValueError("at least one trial is required")
     m2 = d.m * d.m

@@ -20,10 +20,7 @@ import numpy as np
 from .core import PointSet, Route, _path_length, route_length
 from .errors import CapacityError
 
-__all__ = ["TspResult", "STRIP_SLACK", "strip_tour", "two_opt", "strip_two_opt", "tsp_exact"]
-
-# Additive slack of the serpentine bound, in units of the square side.
-STRIP_SLACK = 4.0
+__all__ = ["TspResult", "strip_tour", "two_opt", "strip_two_opt", "tsp_exact"]
 
 EXACT_TSP_MAX_N = 15
 
@@ -73,7 +70,7 @@ def strip_tour(ps: PointSet) -> TspResult:
     order = np.lexsort((xs, strip))
     route = Route(tuple(order.tolist()), closed=True)
     length = _path_length(ps.coords.take(order, axis=0), closed=True)
-    assert length <= (2.0 * math.sqrt(n) + STRIP_SLACK) * ps.square.side + 1e-9
+    assert length <= (2.0 * math.sqrt(n) + 4.0) * ps.square.side + 1e-9
     return TspResult(route, length, "strip")
 
 

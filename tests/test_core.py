@@ -13,20 +13,21 @@ from routebench import (
     Route,
     Square,
     UNIT_SQUARE,
-    bucket_counts,
-    discretize_density,
     density_from_json,
     density_to_json,
     last_latency,
     latency_growth_constant,
     load_points_csv,
-    pdf_cell_mass,
     route_length,
     sample_points,
     save_points_csv,
     total_latency,
 )
 from routebench.core import cell_ids
+
+
+def counts_per_cell(ps, d):
+    return np.bincount(cell_ids(ps.coords, d.square, d.m), minlength=d.m * d.m)
 
 
 def make_ps(points, square=None):
@@ -134,7 +135,7 @@ class TestSampling:
     def test_uniform_cell_frequencies(self):
         d = GridDensity.uniform(2)
         ps = sample_points(d, 10_000, RandomSeed(42))
-        counts = bucket_counts(ps, d)
+        counts = counts_per_cell(ps, d)
         expect = 10_000 / 4
         sd = math.sqrt(10_000 * 0.25 * 0.75)
         assert np.all(np.abs(counts - expect) <= 3 * sd)
@@ -142,7 +143,7 @@ class TestSampling:
     def test_zero_cells_never_sampled(self):
         d = GridDensity(2, [2.0, 2.0, 0.0, 0.0])
         ps = sample_points(d, 10_000, RandomSeed(7))
-        counts = bucket_counts(ps, d)
+        counts = counts_per_cell(ps, d)
         assert counts[2] == 0 and counts[3] == 0
         assert abs(counts[0] / 10_000 - 0.5) <= 0.02
         assert abs(counts[1] / 10_000 - 0.5) <= 0.02
@@ -168,25 +169,25 @@ class TestSampling:
 class TestBucketCounts:
     def test_empty(self):
         d = GridDensity.uniform(3)
-        assert bucket_counts(PointSet(np.zeros((0, 2))), d).sum() == 0
+        assert counts_per_cell(PointSet(np.zeros((0, 2))), d).sum() == 0
 
     def test_center_goes_top_right(self):
         # half-open convention: the shared corner belongs to the upper-right cell
         d = GridDensity.uniform(2)
         ps = PointSet.from_points([(0.5, 0.5)])
-        counts = bucket_counts(ps, d)
+        counts = counts_per_cell(ps, d)
         assert counts.tolist() == [0, 0, 0, 1]
 
     def test_partition_property(self):
         d = GridDensity(4, GridDensity.from_raw(4, np.arange(16) + 1.0).cells)
         ps = sample_points(d, 2000, RandomSeed(3))
-        assert bucket_counts(ps, d).sum() == 2000
+        assert counts_per_cell(ps, d).sum() == 2000
 
     def test_outside_point_rejected(self):
         d = GridDensity.uniform(2)
         ps = PointSet.from_points([(5.0, 5.0)], Square((0.0, 0.0), 10.0))
         with pytest.raises(ValueError):
-            bucket_counts(ps, d)
+            counts_per_cell(ps, d)
 
     @pytest.mark.parametrize("m", [0, -2, 2.5, 2.0, "2", None])
     def test_cell_ids_rejects_bad_resolution(self, m):
@@ -207,7 +208,7 @@ class TestBucketCounts:
     def test_boundary_edges_belong_to_last_cells(self):
         d = GridDensity.uniform(2)
         ps = PointSet.from_points([(1.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
-        counts = bucket_counts(ps, d)
+        counts = counts_per_cell(ps, d)
         assert counts.tolist() == [1, 1, 0, 1]
 
 
@@ -246,55 +247,6 @@ class TestLatencyGrowthConstant:
         small = latency_growth_constant(GridDensity(2, cells))
         big = latency_growth_constant(GridDensity(2, cells, Square((1.0, -2.0), 3.0)))
         assert big == pytest.approx(3 * small, rel=1e-12)
-
-
-class TestDiscretize:
-    def test_uniform_any_resolution(self):
-        for m in (1, 2, 5):
-            d = discretize_density(lambda cell: cell.area, m)
-            assert np.allclose(d.cells, 1.0)
-
-    def test_refinement_replicates_parent(self):
-        parent = GridDensity(2, [2.0, 1.0, 0.5, 0.5])
-
-        def parent_mass(cell):
-            cx = cell.origin[0] + cell.side / 2
-            cy = cell.origin[1] + cell.side / 2
-            col = min(int(cx * 2), 1)
-            row = min(int(cy * 2), 1)
-            return float(parent.cells[row * 2 + col]) * cell.area
-
-        child = discretize_density(parent_mass, 4)
-        expanded = np.repeat(np.repeat(parent.cells.reshape(2, 2), 2, axis=0), 2, axis=1).ravel()
-        assert np.allclose(child.cells, expanded)
-
-    def test_two_bump_l1_convergence(self):
-        def pdf(x, y):
-            return math.exp(-((x - 0.25) ** 2 + (y - 0.25) ** 2) / 0.02) + math.exp(
-                -((x - 0.75) ** 2 + (y - 0.7) ** 2) / 0.01
-            )
-
-        mass = pdf_cell_mass(pdf)
-        reference = discretize_density(mass, 32)
-
-        def level_at(d, x, y):
-            col = min(int(x * d.m), d.m - 1)
-            row = min(int(y * d.m), d.m - 1)
-            return d.cells[row * d.m + col]
-
-        centers = [(i + 0.5) / 32 for i in range(32)]
-        dists = []
-        for m in (4, 8, 16):
-            d = discretize_density(mass, m)
-            err = np.mean(
-                [abs(level_at(d, x, y) - level_at(reference, x, y)) for x in centers for y in centers]
-            )
-            dists.append(err)
-        assert dists[0] > dists[1] > dists[2]
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            discretize_density(lambda cell: -1.0, 2)
 
 
 class TestValidationAndIO:

@@ -301,6 +301,17 @@ class TestCli:
         plan = json.loads(out.read_text())
         assert plan["feasible"] and abs(plan["slack"]) < 1e-9
 
+    def test_fairness_on_a_large_population_grid(self, tmp_path):
+        # 64 cells and 4 populations: the vertex enumeration refused this
+        # size (3.6M candidate systems) and the command exited 1
+        layers = np.random.default_rng(8).random((4, 64))
+        pop = tmp_path / "pop.json"
+        pop.write_text(json.dumps({"m": 8, "layers": (layers * 64 / layers.sum()).tolist()}))
+        out = tmp_path / "mix.json"
+        assert main(["fairness", "--population", str(pop), "--k", "3", "--out", str(out)]) == 0
+        mix = json.loads(out.read_text())
+        assert abs(sum(mix["q"]) - 1.0) <= 1e-9 and len(mix["support"]) <= 4
+
     def test_experiment_exit_codes(self, tmp_path):
         cfg_pass = small_config(tmp_path, "cli-pass", thresholds={"slope_tol": 10.0, "naive_factor": 100.0})
         path = tmp_path / "pass.json"

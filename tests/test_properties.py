@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routebench import PointSet, Route, Square, ktsp_grid_scheme, route_length
+from routebench import PointSet, PopulationGridDensity, Route, Square, fairness_lp, ktsp_grid_scheme, route_length
 from routebench.core import cell_ids
 from routebench.ktsp import _grid_resolution
 
@@ -91,3 +91,31 @@ class TestGridScheme:
         m = _grid_resolution(result.alpha_used, k, n, square.area)
         assert np.all(cell_ids(ps.coords[list(order)], square, m) == result.cell_chosen)
         assert result.length == route_length(result.route, ps)
+
+
+class TestFairnessLp:
+    @PROPERTY
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 6), st.sampled_from([0.0, 0.01, 0.2]), st.data())
+    def test_optimal_against_the_generating_mixture(self, m, P, k, epsilon, data):
+        # small whole-number weights give ties, empty cells and repeated
+        # ratio columns; the generating mixture w is feasible, so the
+        # optimum costs no more than it does
+        weights = st.lists(st.integers(0, 9), min_size=P * m * m, max_size=P * m * m)
+        layers = np.array(data.draw(weights), dtype=np.float64).reshape(P, m * m)
+        layers[0, 0] += 1.0
+        pop = PopulationGridDensity(m, layers * (m * m) / layers.sum())
+        f = pop.total.cells
+        supported = f > 0
+        ratios = pop.layers[:, supported] / f[supported]
+        J = ratios.shape[1]
+        w = np.array(data.draw(st.lists(st.integers(0, 9), min_size=J, max_size=J)), dtype=np.float64)
+        w[0] += 1.0
+        w /= w.sum()
+        targets = ratios @ w
+        mix = fairness_lp(pop, k, targets, epsilon)
+        q = mix.q[supported]
+        assert np.all(np.abs(ratios @ q - targets) <= epsilon + 1e-9)
+        assert abs(q.sum() - 1.0) <= 1e-9 and np.all(mix.q >= 0)
+        assert np.all(mix.q[~supported] == 0)
+        costs = f[supported] ** (-0.5 * (1.0 + 1.0 / (k - 1)))
+        assert mix.objective <= costs @ w + 1e-12
