@@ -92,10 +92,13 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
     tour orientation; consecutive cells are linked by a straight edge.
     Nearly all of the scheme's time goes to that polish.
     With a depot, the depot-to-entry distance is added to every point's
-    wait and reported via ``depot_offset``.
+    wait and reported via ``depot_offset``; a depot with a non-finite
+    coordinate raises ``ValueError``.
     """
     if d.square != ps.square:
         raise ValueError("density and point set must share the bounding square")
+    if depot is not None and not all(map(math.isfinite, depot)):
+        raise ValueError(f"depot coordinates must be finite, got {tuple(depot)}")
     n = len(ps)
     if n == 0:
         return TrpResult(Route((), closed=False), 0.0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSet, Route, _path_length, route_length
+from .core import PointSet, Route, _path_length, _route_points, route_length
 from .errors import CapacityError
 
 __all__ = ["TspResult", "strip_tour", "two_opt", "strip_two_opt", "tsp_exact"]
@@ -93,11 +93,12 @@ def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -
     return the indices of the other rows.
 
     Points are bucketed in a grid of about two per cell, and a point's
-    candidates are the points in the 5 x 5 cells around its own.  A row is
-    settled when its k-th distance is below the distance from the point to
-    the edge of those cells.  An input too crowded for the grid settles
-    none: one whose fullest cell holds more than 4k points, or at least
-    t / 25.
+    candidates are the points in the 5 x 5 cells around its own.  Sorted by
+    cell, the points of one row of those cells form one run, so the
+    candidates are five runs.  A row is settled when its k-th distance is
+    below the distance from the point to the edge of those cells.  An input
+    too crowded for the grid settles none: one whose fullest cell holds more
+    than 4k points, or at least t / 25.
     """
     t = len(pts)
     x, y = pts[:, 0], pts[:, 1]
@@ -112,21 +113,27 @@ def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -
     row = np.minimum(((y - low[1]) / h).astype(np.int64), g - 1)
     gp = g + 4  # two cells of empty padding on every side
     cell = (row + 2) * gp + col + 2
-    fullest = int(np.bincount(cell).max())
-    width = 25 * fullest
-    if width >= t or fullest > 4 * k:  # the table below stays O(t * k)
+    counts = np.bincount(cell, minlength=gp * gp)
+    fullest = int(counts.max())
+    if 25 * fullest >= t or fullest > 4 * k:  # the runs below stay O(k) long
         return everyone
-    order = np.argsort(cell, kind="stable")
-    by_cell = cell[order]
-    table = np.full((gp * gp, fullest), -1)
-    table[by_cell, everyone - np.searchsorted(by_cell, by_cell)] = order
-    offsets = (np.arange(-2, 3)[:, None] * gp + np.arange(-2, 3)).ravel()
+    order = np.append(np.argsort(cell, kind="stable"), -1)  # -1 pads short runs
+    xp, yp = np.append(x, np.inf), np.append(y, np.inf)  # and lies infinitely far away
+    starts = np.concatenate(([0], np.cumsum(counts)))  # cell c's points are order[starts[c] : starts[c + 1]]
+    # per point, the five runs of its window: where each starts in order, and its length
+    rows_of_window = np.arange(-2, 3) * gp
+    first = starts[cell[:, None] + (rows_of_window - 2)]
+    size = starts[cell[:, None] + (rows_of_window + 3)] - first
+    run = max(int(size.max()), k // 5 + 1)  # 5 * run > k, as _nearest needs
+    width = 5 * run
+    step = np.arange(run)
     rows = max(1, _KNN_BLOCK // width)
     for lo in range(0, t, rows):
         hi = min(t, lo + rows)
-        cand = table[cell[lo:hi, None] + offsets].reshape(hi - lo, width)
-        d2 = (x[lo:hi, None] - x[cand]) ** 2 + (y[lo:hi, None] - y[cand]) ** 2
-        d2[(cand < 0) | (cand == everyone[lo:hi, None])] = np.inf
+        at = np.where(step < size[lo:hi, :, None], first[lo:hi, :, None] + step, t)
+        cand = order[at].reshape(hi - lo, width)
+        d2 = (x[lo:hi, None] - xp[cand]) ** 2 + (y[lo:hi, None] - yp[cand]) ** 2
+        d2[cand == everyone[lo:hi, None]] = np.inf
         nbr[lo:hi], d2s[lo:hi] = _nearest(d2, cand, k)
     # distance to the nearest edge of the 5 x 5 cells that faces other points
     margin = np.minimum.reduce([
@@ -168,7 +175,7 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
         d2[r[:, 0], part] = np.inf
         near = np.argsort(d2, axis=1, kind="stable")[:, :k]
         nbr[part], d2s[part] = near, d2[r, near]
-    return nbr, [list(zip(*row)) for row in zip(nbr.tolist(), np.sqrt(d2s).tolist())]
+    return nbr, list(map(list, map(zip, nbr.tolist(), np.sqrt(d2s).tolist())))
 
 
 def _reverse(tour: list[int], pos: list[int], u: int, v: int) -> None:
@@ -255,10 +262,13 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
     is made, and every endpoint of a changed edge is queued again.  When the
     queue runs dry, each point whose own edges, those within three tour
     steps, or those of its candidates changed since it was last examined is
-    queued once more.  So the search stops at a tour that none of these
-    moves improves, or after 50 * t moves; with t <= K + 1 that tour is
-    2-opt optimal.  The tour is a list plus a position array, and a move
-    reverses the shorter side of it.
+    queued once more.  The search stops when that queues nothing, or after
+    50 * t moves.  A reversal can flip the direction in which a candidate c
+    runs relative to a without changing an edge near either, so a move from
+    a to c may still improve the final tour.  With t <= K + 1 every point is
+    a candidate of every other and is queued again after any move, so the
+    final tour is 2-opt optimal.  The tour is a list plus a position array,
+    and a move reverses the shorter side of it.
 
     The result starts at the first point of ``start`` and is never longer
     than it; ``moves`` counts the moves made and ``cap_hit`` says whether the
@@ -271,7 +281,7 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
     if t < 4:
         return TspResult(start, route_length(start, ps), "strip+2opt")
 
-    coords = ps.coords.take(np.fromiter(order, dtype=np.intp, count=t), axis=0)
+    coords = _route_points(start, ps)
     pt = list(map(tuple, coords.tolist()))
     nbr, cands = _neighbor_lists(coords, min(NEIGHBORS, t - 1))
     dist = math.dist
@@ -323,6 +333,7 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
             if changed:
                 break
         if not changed:
+            nearest = near[0][1]
             for nxt, prv, p, dpa in ((fwd, bwd, ends[1], gaps[1]), (bwd, fwd, ends[0], gaps[0])):
                 # Or-opt: the segment a .. y follows p and precedes n; it goes
                 # between c and its tour neighbour e, with a next to c
@@ -333,10 +344,15 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
                     y = n
                     seg.append(y)
                     n = tour[pos[y] + nxt]
-                    if y == a and nxt == bwd:  # a alone was tried going forward
-                        continue
                     py = pt[y]
-                    gain = dpa + dist(py, pt[n]) - dist(pp, pt[n])
+                    if y != a:
+                        gain = dpa + dist(py, pt[n]) - dist(pp, pt[n])
+                    elif nxt == fwd:  # a alone: n is ends[0], at distance gaps[0]
+                        gain = dpa + gaps[0] - dist(pp, pt[n])
+                    else:  # a alone was tried going forward
+                        continue
+                    if gain <= nearest:  # no candidate is closer than the gain
+                        continue
                     for c, dac in near:
                         if dac >= gain:
                             break
@@ -363,11 +379,13 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
                     queued[v] = True
                     queue.append(v)
 
+    start_length = _path_length(coords, closed=True)
     if not moves:
-        return TspResult(start, route_length(start, ps), "strip+2opt")
+        return TspResult(start, start_length, "strip+2opt")
     k = pos[0]
-    route = Route(tuple(map(order.__getitem__, tour[k:] + tour[:k])), closed=True)
-    length, start_length = route_length(route, ps), route_length(start, ps)
+    tour = tour[k:] + tour[:k]
+    route = Route(tuple(map(order.__getitem__, tour)), closed=True)
+    length = _path_length(coords.take(tour, axis=0), closed=True)
     if length > start_length:  # rounding only: every move shortens the tour by more than eps
         route, length = start, start_length
     return TspResult(route, length, "strip+2opt", moves, moves == cap)

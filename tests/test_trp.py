@@ -100,6 +100,13 @@ class TestAprioriScheme:
             total_latency(with_depot.route, ps) + 50 * d0, rel=1e-12
         )
 
+    @pytest.mark.parametrize("depot", [Point(math.nan, 0.2), Point(math.inf, 0.2), Point(0.2, -math.inf)])
+    def test_non_finite_depot_rejected(self, depot):
+        d = GridDensity.uniform(2)
+        ps = sample_points(d, 50, RandomSeed(6))
+        with pytest.raises(ValueError, match="depot"):
+            trp_apriori_scheme(ps, d, depot=depot)
+
     def test_mismatched_square_rejected(self):
         d = GridDensity.uniform(2, Square((0.0, 0.0), 2.0))
         ps = sample_points(GridDensity.uniform(2), 10, RandomSeed(7))

@@ -1,5 +1,6 @@
 """Strip tour, 2-opt, and exact tour oracle tests."""
 
+import hashlib
 import itertools
 import math
 
@@ -118,6 +119,12 @@ class TestTwoOpt:
         with pytest.raises(ValueError):
             two_opt(ps, Route((0, 1, 2, 3), closed=False))
 
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_start_index_out_of_range_rejected(self, n):
+        ps = sample_points(GridDensity.uniform(1), n, RandomSeed(602, n))
+        with pytest.raises(ValueError, match="out of range"):
+            two_opt(ps, Route(tuple(range(n - 1)) + (99,), closed=True))
+
     def test_near_optimal_on_small_instances(self):
         d = GridDensity.uniform(1)
         rng = np.random.default_rng(4)
@@ -227,8 +234,10 @@ class TestTwoOptKernel:
             assert improving_two_opt_pairs(result, ps) == []
 
     def test_no_improving_candidate_move(self):
-        # the search ends when no point finds a 2-opt move to a candidate
-        # nearer than its own tour neighbour, in either direction
+        # on these inputs no point finds a 2-opt move to a candidate nearer
+        # than its own tour neighbour, in either direction; that is not
+        # guaranteed, since a reversal can flip the direction in which a
+        # candidate runs relative to a point without queuing the point again
         d = GridDensity.uniform(1)
         rng = np.random.default_rng(15)
         for trial in range(6):
@@ -271,8 +280,9 @@ class TestTwoOptKernel:
 
     def test_candidate_lists_match_brute_force(self):
         rng = np.random.default_rng(14)
-        for trial in range(150):
-            t = int(rng.integers(4, 400))
+        for trial in range(186):
+            # the lattice and cluster kinds at this size take the dense fallback
+            t = int(rng.integers(4, 400) if trial < 150 else rng.integers(400, 1001))
             kind = trial % 6
             if kind == 0:
                 pts = rng.random((t, 2))
@@ -295,6 +305,54 @@ class TestTwoOptKernel:
             for i, row in enumerate(cands):
                 assert [c for c, _ in row] == expected[i]
                 assert [dc for _, dc in row] == pytest.approx([math.dist(pts[i], pts[c]) for c, _ in row], rel=1e-15)
+
+
+def golden_instance(name):
+    """The point set and start route of one :class:`TestTwoOptGolden` case,
+    named ``<kind>-<n>``."""
+    kind, n = name.rsplit("-", 1)
+    n = int(n)
+    rng = np.random.default_rng(n)
+    if kind == "strip":
+        ps = sample_points(GridDensity.uniform(1), n, RandomSeed(620, n))
+        return ps, strip_tour(ps).route
+    if kind == "random":
+        ps = sample_points(GridDensity.uniform(1), n, RandomSeed(621, n))
+    elif kind == "lattice":  # many equal distances
+        side = math.isqrt(n)
+        ps = PointSet.from_points([(i / side, j / side) for i in range(side) for j in range(side)])
+    elif kind == "clustered":  # half the points in one tight cluster
+        ps = PointSet(np.vstack([rng.random((n // 2, 2)) * 0.01, rng.random((n - n // 2, 2))]))
+    else:  # thin: a strip 1000 times longer than wide
+        ps = PointSet(rng.random((n, 2)) * [1.0, 0.001])
+    return ps, Route(tuple(rng.permutation(len(ps))), closed=True)
+
+
+# two_opt on fixed inputs, recorded before the candidate gather and the
+# Or-opt scan were reworked: case -> (sha256 of the route order, length as
+# float.hex, moves, cap_hit)
+TWO_OPT_GOLDEN = {
+    "strip-5": ("da23ff6a22c1124e536e7c3e7e6bd96d87f8f0b81cad5d7aeaa12b20dfc21e40", "0x1.5ec0b8d7743cdp+1", 0, False),
+    "strip-31": ("5b529b3e30f8f0813727802008affa2d6993ebb63a85fe7d7548debeb0a44daa", "0x1.0ea4d1c45301bp+2", 16, False),
+    "strip-100": ("334b42c8412efcb42d361b23fef78a1fc6f7cb8c18919edad9ac1e118f6fc28e", "0x1.eec4401041f21p+2", 62, False),
+    "strip-500": ("1698ec741a6420ea5c7ddc7e1985af4c65659d64be01dde2e5e91f22842a8892", "0x1.308f755c8647cp+4", 313, False),
+    "strip-2000": ("53c42405561e8ba08f179f8b2adf06eec2f7eaf4991dd4ee1c8d030df5bb3b3e", "0x1.196f186326057p+5", 1305, False),
+    "random-12": ("acf5a5d7ecf93d6681639e6ae0b61b1b52727361175dbbfc4ba20eb41a10d795", "0x1.7d009cd2e0f27p+1", 14, False),
+    "random-150": ("b78ec92fd30035e1488b56e9f2197e7df96b42efc77458ba5b7449a6b405fb39", "0x1.41233f5a161f2p+3", 318, False),
+    "random-400": ("1bb5504069be944f8a2f4708816f9d7d57b1a685c4279b2ad0d6b9ad0f6be519", "0x1.f632ea607ad45p+3", 1018, False),
+    "lattice-400": ("e8e6bcf044c49d53a154c25ae6a7dfe1d0383741c5f2734a88687e323a1f2472", "0x1.454d4b8532963p+4", 837, False),
+    "clustered-600": ("ee54f9f5262153f5b7bbfa8129ef2ea8063f5160f50770e7307bf66d1fb89c7f", "0x1.c3ff3646d5860p+3", 1584, False),
+    "thin-300": ("f3f2b366f94745bf1b2cc1d91d030a89c673b91bd33fd59dac8a1014e7579dfb", "0x1.00c8230f7e4c2p+1", 1151, False),
+}
+
+
+class TestTwoOptGolden:
+    @pytest.mark.parametrize("name", list(TWO_OPT_GOLDEN))
+    def test_bit_identical(self, name):
+        ps, start = golden_instance(name)
+        result = two_opt(ps, start)
+        digest = hashlib.sha256(",".join(map(str, result.route.order)).encode()).hexdigest()
+        assert (digest, result.length.hex(), result.moves, result.cap_hit) == TWO_OPT_GOLDEN[name]
 
 
 class TestExactTour:
