@@ -137,8 +137,24 @@ class PointSet:
         return self.coords.shape[0]
 
     def subset(self, indices: Sequence[int], square: Square | None = None) -> "PointSet":
-        """Point set restricted to ``indices``, optionally with a tighter square."""
-        return PointSet(self.coords.take(np.asarray(indices, dtype=np.intp), axis=0), square or self.square)
+        """Point set restricted to ``indices``, optionally with a tighter square.
+
+        A tighter square is a cell, or a block of cells, of a partition, and
+        its edges are rounded: a point that :func:`cell_ids` puts in a cell
+        can lie a few ulps outside that cell's square.  Such a point is moved
+        onto the square's edge; one more than 1e-9 of the square's scale
+        outside it raises ``ValueError``.
+        """
+        coords = self.coords.take(np.asarray(indices, dtype=np.intp), axis=0)
+        square = square or self.square
+        try:
+            return PointSet(coords, square)
+        except ValueError:  # the coordinates are finite: a point lies outside
+            lo = np.array(square.origin)
+            inside = np.clip(coords, lo, lo + square.side)
+            if np.abs(inside - coords).max() > 1e-9 * (square.side + np.abs(lo).max()):
+                raise
+            return PointSet(inside, square)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,8 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     """
     n = len(ps)
     k = _validate_k(k, n)
+    if k >= 4 and n > EXACT_KTSP_MAX_N:
+        raise CapacityError(f"ktsp_exact supports at most {EXACT_KTSP_MAX_N} points for k >= 4, got {n}")
     dist = _distance_matrix(ps)
 
     if k == 2:
@@ -184,9 +186,6 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
         a, b = int(nearest2[mid, 0]), int(nearest2[mid, 1])
         route = Route((a, mid, b), closed=False)
         return KtspResult(route, float(totals[mid]), 0, None)
-
-    if n > EXACT_KTSP_MAX_N:
-        raise CapacityError(f"ktsp_exact supports at most {EXACT_KTSP_MAX_N} points for k >= 4, got {n}")
 
     cost, parent = _held_karp(dist, np.zeros(n), k)
     layer = _layers(n)[k]

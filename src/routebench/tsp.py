@@ -32,6 +32,8 @@ OR_OPT_MAX = 3
 # in Python; above, at most _KNN_BLOCK squared distances per numpy block.
 _SORT_MAX = 16
 _KNN_BLOCK = 1 << 12
+# Held-Karp states relaxed per numpy step.
+_HK_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -417,14 +419,26 @@ def _layers(n: int) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _steps(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
-    """For each subset size s and point v: the masks of size s that hold v,
-    and the same masks without v (int32, about 0.9 MB at n = 14)."""
+def _steps(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], ...]:
+    """The states (mask, v) of each subset size s, with v a point in the
+    mask, cut into blocks of at most ``_HK_BLOCK`` states.
+
+    A block holds, per state, its index ``mask * n + v`` in the flattened
+    (2^n, n) tables and the mask without v (int32), and v (int8): 9 bytes
+    per state and n * 2^(n-1) states in all, 1.03 MB at n = 14.  Every
+    array is read-only, as the cache shares them.
+    """
     steps = []
     for layer in _layers(n):
         layer = layer.astype(np.int32)
         sels = [layer[(layer >> v) & 1 == 1] for v in range(n)]
-        steps.append(tuple((sel, sel ^ (1 << v)) for v, sel in enumerate(sels)))
+        state = np.concatenate([m * n + v for v, m in enumerate(sels)])
+        prev = np.concatenate([m ^ (1 << v) for v, m in enumerate(sels)])
+        last = np.repeat(np.arange(n, dtype=np.int8), [len(m) for m in sels])
+        for a in (state, prev, last):
+            a.flags.writeable = False  # and so are the blocks, views of them
+        cuts = range(_HK_BLOCK, len(state), _HK_BLOCK)
+        steps.append(tuple(zip(np.split(state, cuts), np.split(prev, cuts), np.split(last, cuts))))
     return tuple(steps)
 
 
@@ -437,28 +451,34 @@ def _held_karp(
     ``mask`` that ends at v; a one-point path {v} costs ``start_cost[v]``,
     and the edge that grows a path to s points costs
     ``weights[s]`` times its length (1 without ``weights``).  Layers are
-    filled by popcount up to ``stop``; for each layer and last point, one
-    numpy step relaxes every mask of the layer that holds that point.  Ties
+    filled by popcount up to ``stop``.  The states of a layer are relaxed
+    in the blocks of :func:`_steps`, one numpy step per block: state
+    (mask, v) takes the least, over all n points u, of ``cost[mask - v, u]``
+    plus the weighted edge (u, v), where u outside mask - v costs inf.  Ties
     go to the lowest-index predecessor, recorded in ``parent`` (-1 for one-
     point paths and unfilled states).
 
-    Time O(n^2 * 2^n); memory n * 2^n float64 costs plus int8 parents.
+    Time O(n^2 * 2^n); memory n * 2^n float64 costs plus int8 parents, the
+    cached blocks, and n float64 per state of one block.
     """
     n = len(start_cost)
     cost = np.full((1 << n, n), np.inf)
     parent = np.full((1 << n, n), -1, dtype=np.int8)
     points = np.arange(n)
     cost[1 << points, points] = start_cost
-    rows = np.arange(1 << n)
+    cost_flat, parent_flat = cost.reshape(-1), parent.reshape(-1)
+    row_start = n * np.arange(_HK_BLOCK)  # where each row of a block starts, flattened
     steps = _steps(n)
+    dist_t = np.ascontiguousarray(dist.T)
     for s in range(2, stop + 1):
-        w = 1.0 if weights is None else weights[s]
-        for v, (sel, prev) in enumerate(steps[s]):
-            cand = cost[prev]
-            cand += w * dist[:, v]
+        edge = dist_t if weights is None else dist_t * weights[s]  # edge[v, u]: the edge (u, v), weighted
+        for state, prev, last in steps[s]:
+            cand = cost.take(prev, axis=0)
+            cand += edge.take(last, axis=0)
             best = cand.argmin(axis=1)
-            parent[sel, v] = best
-            cost[sel, v] = cand[rows[: len(sel)], best]
+            parent_flat[state] = best
+            best += row_start[: len(state)]
+            cost_flat[state] = cand.take(best)
     return cost, parent
 
 

@@ -211,6 +211,31 @@ class TestBucketCounts:
         counts = counts_per_cell(ps, d)
         assert counts.tolist() == [1, 1, 0, 1]
 
+    @pytest.mark.parametrize(
+        "origin, side, m", [((0.0, 1.0), 95.5, 3), ((-37.25, 12.5), 0.3, 7), ((1e3, -1e3), 7.0, 5)]
+    )
+    def test_subset_onto_own_cell(self, origin, side, m):
+        # points on every grid line and one ulp to either side; rounding
+        # can put a point that cell_ids assigns to a cell just outside that
+        # cell's square, and subset moves it onto the edge
+        square = Square(origin, side)
+        lines = np.asarray(origin)[:, None] + np.arange(m + 1) * (side / m)
+        lines = np.concatenate([lines, np.nextafter(lines, -np.inf), np.nextafter(lines, np.inf)], axis=1)
+        lines = np.clip(lines, np.asarray(origin)[:, None], np.asarray(origin)[:, None] + side)
+        coords = np.array(list(itertools.product(lines[0], lines[1])))
+        ps = PointSet(coords, square)
+        ids = cell_ids(coords, square, m)
+        for cell in np.unique(ids).tolist():
+            members = np.flatnonzero(ids == cell)
+            sub = ps.subset(members, square.cell(m, cell))
+            assert np.all(np.abs(sub.coords - coords[members]) <= 1e-12 * (side + max(map(abs, origin))))
+
+    def test_subset_rejects_point_outside_square(self):
+        ps = PointSet.from_points([(0.2, 0.2), (0.7, 0.2)])
+        assert ps.subset([0], Square((0.0, 0.0), 0.5)).coords.tolist() == [[0.2, 0.2]]
+        with pytest.raises(ValueError, match="inside"):
+            ps.subset([1], Square((0.0, 0.0), 0.5))
+
 
 class TestLatencyGrowthConstant:
     def test_uniform_is_half_exactly(self):

@@ -21,6 +21,7 @@ from routebench import (
     route_length,
     sample_points,
 )
+from routebench import ktsp
 from routebench.ktsp import _grid_resolution
 
 
@@ -147,6 +148,16 @@ class TestExactOracle:
         # closed-form paths stay available above the DP cap
         assert ktsp_exact(ps, 2).length > 0
         assert ktsp_exact(ps, 3).length > 0
+
+    def test_capacity_checked_before_distances(self, monkeypatch):
+        # n = 40 must fail on its size alone, before any n x n matrix is built
+        def no_matrix(ps):
+            raise AssertionError("distance matrix built above the cap")
+
+        monkeypatch.setattr(ktsp, "_distance_matrix", no_matrix)
+        ps = sample_points(GridDensity.uniform(1), 40, RandomSeed(9))
+        with pytest.raises(CapacityError):
+            ktsp_exact(ps, 4)
 
 
 class TestNonuniformScheme:

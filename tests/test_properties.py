@@ -8,7 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routebench import PointSet, PopulationGridDensity, Route, Square, fairness_lp, ktsp_grid_scheme, route_length
+from routebench import (
+    GridDensity,
+    PointSet,
+    PopulationGridDensity,
+    Route,
+    Square,
+    fairness_lp,
+    ktsp_exact,
+    ktsp_grid_scheme,
+    route_length,
+    strip_tour,
+    trp_apriori_scheme,
+    trp_exact,
+    tsp_exact,
+    two_opt,
+)
 from routebench.core import cell_ids
 from routebench.ktsp import _grid_resolution
 
@@ -91,6 +106,48 @@ class TestGridScheme:
         m = _grid_resolution(result.alpha_used, k, n, square.area)
         assert np.all(cell_ids(ps.coords[list(order)], square, m) == result.cell_chosen)
         assert result.length == route_length(result.route, ps)
+
+
+def exact_sized(min_size: int) -> st.SearchStrategy:
+    """Up to 9 points as fractions of the square's side; the corners and
+    the centre are drawn often, so points coincide."""
+    point = st.one_of(
+        st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        st.sampled_from([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]),
+    )
+    return st.lists(point, min_size=min_size, max_size=9)
+
+
+def slack(square: Square) -> float:
+    """1e-9 in units of the side: lengths scale with it."""
+    return 1e-9 * max(1.0, square.side)
+
+
+class TestExactOracles:
+    """Each exact oracle is no worse than the heuristic it checks."""
+
+    @PROPERTY
+    @given(squares, exact_sized(1))
+    def test_tsp_exact_two_opt_strip(self, square, fracs):
+        ps = PointSet(points_in(square, fracs), square)
+        strip = strip_tour(ps)
+        polished = two_opt(ps, strip.route)
+        assert tsp_exact(ps).length <= polished.length + slack(square)
+        assert polished.length <= strip.length + slack(square)
+
+    @PROPERTY
+    @given(squares, exact_sized(2), st.data())
+    def test_ktsp_exact_grid_scheme(self, square, fracs, data):
+        ps = PointSet(points_in(square, fracs), square)
+        k = data.draw(st.integers(2, len(ps)))
+        assert ktsp_exact(ps, k).length <= ktsp_grid_scheme(ps, k).length + slack(square)
+
+    @PROPERTY
+    @given(squares, exact_sized(1), st.integers(1, 3))
+    def test_trp_exact_apriori_scheme(self, square, fracs, m):
+        ps = PointSet(points_in(square, fracs), square)
+        scheme = trp_apriori_scheme(ps, GridDensity.uniform(m, square))
+        assert trp_exact(ps).latency <= scheme.latency + slack(square)
 
 
 class TestFairnessLp:

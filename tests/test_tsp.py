@@ -21,7 +21,7 @@ from routebench import (
     tsp_exact,
     two_opt,
 )
-from routebench.tsp import NEIGHBORS, _neighbor_lists
+from routebench.tsp import _HK_BLOCK, NEIGHBORS, _neighbor_lists, _steps
 
 UNIT_CORNERS = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -379,6 +379,27 @@ class TestExactTour:
         ps = sample_points(GridDensity.uniform(1), 16, RandomSeed(0))
         with pytest.raises(CapacityError):
             tsp_exact(ps)
+
+    def test_step_cache_footprint(self):
+        # 9 bytes per (mask, last point) state, about 1.03 MB at n = 14,
+        # counting the buffers the cached blocks keep alive
+        n = 14
+        arrays = [a for layer in _steps(n) for block in layer for a in block]
+        buffers = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
+        states = n << (n - 1)
+        assert sum(a.nbytes for a in arrays) == sum(b.nbytes for b in buffers.values()) <= 9 * states
+        assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_step_blocks_cover_each_state_once(self, n):
+        for s, layer in enumerate(_steps(n)):
+            assert all(len(state) <= _HK_BLOCK for state, _, _ in layer)
+            state, prev, last = (np.concatenate(parts).astype(np.int64) for parts in zip(*layer))
+            mask = state // n
+            assert np.array_equal(state % n, last)
+            assert np.array_equal(prev, mask ^ (1 << last))
+            expected = [m * n + v for m in range(1 << n) if bin(m).count("1") == s for v in range(n) if m >> v & 1]
+            assert sorted(state.tolist()) == expected
 
     def test_method_chain_ordering(self):
         # exact <= strip+2opt <= strip on every instance where all are defined
