@@ -50,16 +50,46 @@ __all__ = [
 BETA_TSP_BRACKET = (0.6250, 0.9204)
 
 
-def _require_count(name: str, value: float) -> int:
-    """``value`` as an int; ValueError unless it is a finite whole number
-    (1.0 is; "3" and 2.5 are not)."""
+# The scalar input contract.  Every public entry point checks its scalar
+# arguments with one of these three rules and raises ValueError naming the
+# argument; arrays are checked where they are built.
+
+
+def _require_count(name: str, value: float, least: int = 0) -> int:
+    """``value`` as an int; ValueError unless it is a finite whole number of
+    at least ``least`` (1.0 is; "3", 2.5 and NaN are not)."""
     try:
         whole = math.isfinite(value) and value == math.floor(value)
     except TypeError:
         whole = False
     if not whole:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return int(value)
+
+
+def _require_int(name: str, value: int, least: int) -> int:
+    """``value`` as an int; ValueError unless it is a Python or numpy integer
+    of at least ``least`` (2.0, "2" and None are not)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _require_finite(**values: float) -> None:
+    """ValueError naming the first keyword argument that is not a finite real."""
+    for name, value in values.items():
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class Point(NamedTuple):
@@ -99,12 +129,6 @@ class Square:
 
 
 UNIT_SQUARE = Square((0.0, 0.0), 1.0)
-
-
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,19 +269,23 @@ def last_latency(route: Route, ps: PointSet) -> float:
 class RandomSeed:
     """A (master seed, stream index) pair identifying one random stream.
 
-    Identical pairs reproduce identical sample sequences.  Concurrent tasks
-    must each use their own stream; :meth:`child` derives one stably from
-    string/integer keys so stream assignment does not depend on scheduling.
+    Both are integers (Python or numpy; floats are rejected) in [0, 2**64),
+    stored as Python ints.  Identical pairs reproduce identical sample
+    sequences.  Concurrent tasks must each use their own stream;
+    :meth:`child` derives one stably from string/integer keys so stream
+    assignment does not depend on scheduling.
     """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
-        if not 0 <= self.stream_index < 2**64:
-            raise ValueError("stream_index must be a nonnegative 64-bit integer")
+        seed = _require_int("master_seed", self.master_seed, 0)
+        stream = _require_int("stream_index", self.stream_index, 0)
+        if seed >= 2**64 or stream >= 2**64:
+            raise ValueError(f"master_seed and stream_index must fit in 64 bits, got {seed} and {stream}")
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "stream_index", stream)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(
@@ -265,9 +293,6 @@ class RandomSeed:
             spawn_key=(self.stream_index & 0xFFFFFFFF, self.stream_index >> 32),
         )
         return np.random.Generator(np.random.PCG64(ss))
-
-    def stream(self, index: int) -> "RandomSeed":
-        return RandomSeed(self.master_seed, index)
 
     def child(self, *keys) -> "RandomSeed":
         return RandomSeed(self.master_seed, stable_stream(self.stream_index, *keys))
@@ -292,6 +317,7 @@ class GridDensity:
 
     ``cells`` holds relative levels in row-major order (bottom row first)
     and averages to one, so cell k receives probability ``cells[k] / m**2``.
+    ``m`` is a whole number of at least 1, stored as an int (2.0 becomes 2).
     """
 
     m: int
@@ -299,8 +325,7 @@ class GridDensity:
     square: Square = UNIT_SQUARE
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("grid resolution m must be at least 1")
+        object.__setattr__(self, "m", _require_count("grid resolution m", self.m, 1))
         cells = np.asarray(self.cells, dtype=np.float64).reshape(-1)
         if cells.shape[0] != self.m * self.m:
             raise ValueError(f"expected {self.m * self.m} cell values, got {cells.shape[0]}")
@@ -314,6 +339,7 @@ class GridDensity:
 
     @classmethod
     def uniform(cls, m: int, square: Square = UNIT_SQUARE) -> "GridDensity":
+        m = _require_count("grid resolution m", m, 1)
         return cls(m, np.ones(m * m), square)
 
     @classmethod
@@ -326,13 +352,6 @@ class GridDensity:
         if total <= 0:
             raise ValueError("cell masses must not all be zero")
         return cls(m, raw * (m * m / total), square)
-
-    @property
-    def supported_cells(self) -> np.ndarray:
-        return np.flatnonzero(self.cells > 0)
-
-    def cell_rect(self, k: int) -> Square:
-        return self.square.cell(self.m, k)
 
     def max_cell(self) -> int:
         """Index of the highest-density cell (ties broken by lowest index)."""
@@ -360,12 +379,7 @@ def cell_ids(coords: np.ndarray, square: Square, m: int) -> np.ndarray:
     ``m`` must be a positive integer and every point must lie in the closed
     square (NaN does not); otherwise ``ValueError``.
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise ValueError(f"grid resolution m must be an integer, got {m!r}") from None
-    if m < 1:
-        raise ValueError(f"grid resolution m must be at least 1, got {m}")
+    m = _require_int("grid resolution m", m, 1)
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
     if not _inside(coords, square):
         raise ValueError("point outside the bounding square")
@@ -386,9 +400,11 @@ def _group_by_cell(ids: np.ndarray, cells: int) -> tuple[np.ndarray, list[int]]:
 
 
 def sample_points(d: GridDensity, n: int, seed: RandomSeed) -> PointSet:
-    """Draw n i.i.d. points: pick a cell by its mass, then uniform within it."""
-    if n < 0:
-        raise ValueError("sample size must be nonnegative")
+    """Draw n i.i.d. points: pick a cell by its mass, then uniform within it.
+
+    ``n`` is a nonnegative whole number (2.0 is, 2.5 is not).
+    """
+    n = _require_count("n", n)
     rng = seed.generator()
     m = d.m
     probs = d.cells / (m * m)
@@ -474,4 +490,4 @@ def _square_from_json(obj: dict) -> Square:
 def density_from_json(obj: dict | str) -> GridDensity:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    return GridDensity(int(obj["m"]), np.asarray(obj["cells"], dtype=np.float64), _square_from_json(obj))
+    return GridDensity(obj["m"], np.asarray(obj["cells"], dtype=np.float64), _square_from_json(obj))

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridDensity, PointSet, RandomSeed, Route, Square, cell_ids, sample_points
-from .core import _group_by_cell, _path_length, _require_count, _square_from_json
+from .core import _group_by_cell, _path_length, _require_count, _require_finite, _require_int, _square_from_json
 from .errors import InfeasibleError
-from .ktsp import KtspResult, _check_k, ktsp_grid_scheme, ktsp_nonuniform_scheme
+from .ktsp import KtspResult, ktsp_grid_scheme, ktsp_nonuniform_scheme
 
 __all__ = [
     "PopulationGridDensity",
@@ -43,13 +43,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PopulationGridDensity:
-    """Per-population density layers summing cell-wise to a total density."""
+    """Per-population density layers summing cell-wise to a total density.
+
+    ``m`` follows :class:`~routebench.core.GridDensity`: a whole number of
+    at least 1, stored as an int.
+    """
 
     m: int
     layers: np.ndarray  # (P, m*m), nonnegative
     square: Square = Square((0.0, 0.0), 1.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _require_count("grid resolution m", self.m, 1))
         layers = np.asarray(self.layers, dtype=np.float64)
         if layers.ndim != 2 or layers.shape[1] != self.m * self.m:
             raise ValueError(f"layers must have shape (P, {self.m * self.m})")
@@ -89,7 +94,7 @@ class PopulationGridDensity:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PopulationGridDensity":
-        return cls(int(obj["m"]), np.asarray(obj["layers"], dtype=np.float64), _square_from_json(obj))
+        return cls(obj["m"], np.asarray(obj["layers"], dtype=np.float64), _square_from_json(obj))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +204,10 @@ def fairness_lp(
     every row, naming the population with the largest band violation at
     the Phase I point (the lowest index on ties).
     """
-    k = _check_k(k)
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
+    k = _require_int("k", k, 2)
+    _require_finite(epsilon=epsilon)
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     targets = np.asarray(p, dtype=np.float64)
     P = pop.populations
     if targets.shape != (P,):
@@ -313,9 +319,8 @@ def fair_ktsp_sample(
     is assigned a population label from its cell's layer shares so the
     realized served counts can be audited against the mixture's targets.
     """
-    n = len(ps)
-    if k > n:
-        raise ValueError(f"cannot serve k={k} of n={n} points")
+    k = _require_int("k", k, 2)
+    _require_count("n", len(ps), k)
     if mix.q.shape[0] != pop.m * pop.m:
         raise ValueError("mixture does not match the population grid")
     rng = seed.generator()
@@ -416,12 +421,15 @@ def geographic_service_map(
     seed: RandomSeed,
     z: float = 1.96,
 ) -> ServiceMap:
-    """Estimate per-cell service probabilities for a k-subset scheme."""
-    k = _check_k(k)
+    """Estimate per-cell service probabilities for a k-subset scheme.
+
+    k is an integer of at least 2, n and trials are whole numbers (trials at
+    least 1) and z is finite; anything else raises ``ValueError``.
+    """
+    k = _require_int("k", k, 2)
     n = _require_count("n", n)
-    trials = _require_count("trials", trials)
-    if trials < 1:
-        raise ValueError("at least one trial is required")
+    trials = _require_count("trials", trials, 1)
+    _require_finite(z=z)
     m2 = d.m * d.m
     served = np.zeros(m2, dtype=np.int64)
     totals = np.zeros(m2, dtype=np.int64)

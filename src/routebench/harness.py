@@ -79,8 +79,8 @@ def fit_loglog_slope(samples: Sequence[tuple[float, float]]) -> RateFit:
     vals = np.array([s[1] for s in samples], dtype=np.float64)
     if np.unique(ns).size < 2:
         raise ValueError("need at least two distinct n values")
-    if np.any(vals <= 0) or np.any(ns <= 0):
-        raise ValueError("log-log fit requires positive n and values")
+    if not np.all(np.isfinite(ns) & np.isfinite(vals) & (ns > 0) & (vals > 0)):
+        raise ValueError("log-log fit requires positive finite n and values")
     x = np.log(ns)
     y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
@@ -105,7 +105,8 @@ class ExperimentConfig:
     Counts are coerced to int and ``epsilon`` and ``targets`` to float, so a
     config built in code hashes like the same config read back from its
     JSON.  A count that is not a whole number (``trials=2.5``) raises
-    ``ValueError``; it is not truncated.
+    ``ValueError``; it is not truncated.  So does a negative count, or a
+    ``master_seed`` that does not fit in 64 bits.
     """
 
     experiment: str
@@ -127,6 +128,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _require_count(name, getattr(self, name)))
         for name in _COUNT_TUPLES:
             object.__setattr__(self, name, tuple(_require_count(name, v) for v in getattr(self, name)))
+        RandomSeed(self.master_seed)  # a seed out of range fails here, not inside the first trial
         object.__setattr__(self, "targets", tuple(map(float, self.targets)))
         object.__setattr__(self, "epsilon", float(self.epsilon))
         unknown = sorted(set(self.thresholds) - set(kind.thresholds))
@@ -148,19 +150,9 @@ class ExperimentConfig:
             kind.validate(self)
 
     def canonical(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "density": self.density,
-            "n_grid": list(self.n_grid),
-            "k_grid": list(self.k_grid),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-            "thresholds": self.thresholds,
-            "alpha_points": self.alpha_points,
-            "targets": list(self.targets),
-            "epsilon": self.epsilon,
-        }
+        """Every field but ``out_dir`` as JSON values, tuples as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
 
     def config_hash(self) -> str:
         # workers and out_dir must not change results, so hash neither
@@ -185,7 +177,7 @@ def default_config(kind: str, master_seed: int = 20240901, out_dir: str = "out",
 def resolve_density(spec: dict) -> GridDensity | PopulationGridDensity:
     kind = spec.get("kind", "grid")
     if kind == "uniform":
-        return GridDensity.uniform(int(spec.get("m", 1)), _square_from_json(spec))
+        return GridDensity.uniform(spec.get("m", 1), _square_from_json(spec))
     if kind == "grid":
         return density_from_json(spec)
     if kind == "population":

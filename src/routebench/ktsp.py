@@ -9,12 +9,12 @@ analytic rate/tail evaluators make the scheme's behaviour falsifiable.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GridDensity, PointSet, Route, _path_length, cell_ids, route_length
+from .core import _require_count, _require_finite, _require_int
 from .errors import CapacityError
 from .tsp import _distance_matrix, _held_karp, _layers, _path_to, strip_two_opt
 
@@ -56,24 +56,6 @@ class KtspResult:
         }
 
 
-def _check_k(k: int) -> int:
-    """``k`` as an int; ValueError unless it is an integer of at least 2."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    return k
-
-
-def _validate_k(k: int, n: int) -> int:
-    k = _check_k(k)
-    if k > n:
-        raise ValueError(f"k={k} exceeds the number of points n={n}")
-    return k
-
-
 def _grid_resolution(alpha: int, k: int, n: int, area: float) -> int:
     m = math.floor(math.sqrt(n ** (1.0 + 1.0 / (k - 1)) / (area * (k - 1))) / alpha)
     return max(m, 1)
@@ -98,8 +80,8 @@ def ktsp_grid_scheme(ps: PointSet, k: int) -> KtspResult:
     search repeats; the single-cell grid always succeeds, so the loop
     terminates.
     """
-    n = len(ps)
-    k = _validate_k(k, n)
+    k = _require_int("k", k, 2)
+    n = _require_count("n", len(ps), k)
     area = ps.square.area
     alpha = 0
     while True:
@@ -114,8 +96,6 @@ def ktsp_grid_scheme(ps: PointSet, k: int) -> KtspResult:
         if full[first]:
             cell = int(srt[first])
             break
-        if m == 1:  # single cell holds all n >= k points; unreachable guard
-            raise RuntimeError("grid scheme failed to terminate")
 
     members = np.flatnonzero(ids == cell)
     cx, cy = ps.square.cell_center(m, cell)
@@ -138,8 +118,8 @@ def ktsp_nonuniform_scheme(ps: PointSet, d: GridDensity, k: int) -> KtspResult:
     If the cell holds fewer than k points the scheme falls back to the
     plain grid scheme on the whole square.
     """
-    n = len(ps)
-    k = _validate_k(k, n)
+    k = _require_int("k", k, 2)
+    _require_count("n", len(ps), k)
     if d.square != ps.square:
         raise ValueError("density and point set must share the bounding square")
     target = d.max_cell()
@@ -147,7 +127,7 @@ def ktsp_nonuniform_scheme(ps: PointSet, d: GridDensity, k: int) -> KtspResult:
     members = np.flatnonzero(ids == target)
     if members.size < k:
         return ktsp_grid_scheme(ps, k)
-    sub = ps.subset(members, d.cell_rect(target))
+    sub = ps.subset(members, d.square.cell(d.m, target))
     inner = ktsp_grid_scheme(sub, k)
     path = members[np.array(inner.route.order, dtype=np.intp)]
     route = Route(tuple(path.tolist()), closed=False)
@@ -164,8 +144,8 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     n * 2^n float64 plus int8 (0.44 MB at n = 12); capped at n <= 12.  Among
     paths of equal cost, the lowest-index predecessor wins at every step.
     """
-    n = len(ps)
-    k = _validate_k(k, n)
+    k = _require_int("k", k, 2)
+    n = _require_count("n", len(ps), k)
     if k >= 4 and n > EXACT_KTSP_MAX_N:
         raise CapacityError(f"ktsp_exact supports at most {EXACT_KTSP_MAX_N} points for k >= 4, got {n}")
     dist = _distance_matrix(ps)
@@ -198,12 +178,16 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
 
 
 def ktsp_rate(k: int, n: int, area: float) -> float:
-    """Constant-free growth-rate term (k-1) / n^((1/2)(1+1/(k-1))) * sqrt(area)."""
-    k = _check_k(k)
-    if n < k:
-        raise ValueError("n must be at least k")
-    if not (math.isfinite(area) and area > 0):
-        raise ValueError(f"area must be positive and finite, got {area}")
+    """Constant-free growth-rate term (k-1) / n^((1/2)(1+1/(k-1))) * sqrt(area).
+
+    k is an integer of at least 2, n a whole number of at least k and area
+    positive and finite; anything else raises ``ValueError``.
+    """
+    k = _require_int("k", k, 2)
+    n = _require_count("n", n, k)
+    _require_finite(area=area)
+    if area <= 0:
+        raise ValueError(f"area must be positive, got {area}")
     exponent = 0.5 * (1.0 + 1.0 / (k - 1))
     return (k - 1) / n**exponent * math.sqrt(area)
 
@@ -212,15 +196,14 @@ def ktsp_tail_bound(k: int, n: int, area: float, threshold: float) -> float:
     """Upper bound on P[shortest k-point path <= threshold], capped at 1.
 
     Evaluated in log space as n^k * (2*pi*threshold^2 / area)^(k-1) / (2k-2)!
-    to avoid overflow; a zero threshold gives probability zero.
+    to avoid overflow; a zero threshold gives probability zero.  k and n
+    follow :func:`ktsp_rate`, and the threshold is nonnegative and finite.
     """
-    k = _check_k(k)
-    if n < k:
-        raise ValueError("n must be at least k")
-    if not (math.isfinite(area) and area > 0):
-        raise ValueError(f"area must be positive and finite, got {area}")
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"threshold must be nonnegative and finite, got {threshold}")
+    k = _require_int("k", k, 2)
+    n = _require_count("n", n, k)
+    _require_finite(area=area, threshold=threshold)
+    if area <= 0 or threshold < 0:
+        raise ValueError(f"area must be positive and threshold nonnegative, got {area} and {threshold}")
     if threshold == 0:
         return 0.0
     log_bound = (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import _require_count
+from .core import _require_count, _require_finite
 
 __all__ = ["DispatchPlan", "FleetSize", "fleet_size_trp", "sdd_dispatch_tsp", "sdd_dispatch_trp"]
 
@@ -54,13 +54,6 @@ class FleetSize:
     cost: float
 
 
-def _require_finite(**args: float) -> None:
-    """Raise ValueError naming the first argument that is NaN or infinite."""
-    for name, value in args.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _trp_cost(m: float, c: float, w: float, N: float, b: float) -> float:
     per = N / m
     return c * m + b * per * per + w * per * math.sqrt(per)
@@ -74,11 +67,9 @@ def fleet_size_trp(c: float, w: float, N: int, b: float = 0.0) -> FleetSize:
     term b > 0 there is no closed form and the integers are scanned.
     """
     _require_finite(c=c, w=w, N=N, b=b)
-    N = _require_count("N", N)
+    N = _require_count("N", N, 1)
     if c <= 0 or w <= 0:
         raise ValueError("cost coefficients must be positive")
-    if N < 1:
-        raise ValueError("there must be at least one order")
     if b < 0:
         raise ValueError("batching coefficient must be nonnegative")
     if b > 0:
@@ -98,7 +89,6 @@ def sdd_dispatch_tsp(
     T: float,
     m: int,
     T_cutoff: float | None = None,
-    integer_loads: bool = False,
 ) -> DispatchPlan:
     """Deadline-packing dispatch: each vehicle returns exactly at T.
 
@@ -111,8 +101,8 @@ def sdd_dispatch_tsp(
     if T_cutoff is None:
         T_cutoff = T
     _require_finite(lam=lam, a=a, T=T, m=m, T_cutoff=T_cutoff)
-    m = _require_count("m", m)
-    if lam <= 0 or a < 0 or T <= 0 or m < 1:
+    m = _require_count("m", m, 1)
+    if lam <= 0 or a < 0 or T <= 0:
         raise ValueError("parameters must be positive (a may be zero)")
     if T_cutoff > T:
         raise ValueError("the order cutoff cannot exceed the deadline")
@@ -137,12 +127,7 @@ def sdd_dispatch_tsp(
     if failing is not None:
         return DispatchPlan(tuple(times), tuple(loads), False, -math.inf, failing_index=failing)
     slack = times[-1] - T_cutoff
-    feasible = slack >= -_FEAS_TOL
-    if integer_loads and feasible:
-        total = lam * T_cutoff
-        floored = [float(math.floor(v)) for v in loads[:-1]]
-        loads = floored + [total - sum(floored)]
-    return DispatchPlan(tuple(times), tuple(loads), feasible, slack)
+    return DispatchPlan(tuple(times), tuple(loads), slack >= -_FEAS_TOL, slack)
 
 
 def sdd_dispatch_trp(lam: float, a: float, N: float, m: int, T: float) -> DispatchPlan:
@@ -152,8 +137,8 @@ def sdd_dispatch_trp(lam: float, a: float, N: float, m: int, T: float) -> Dispat
     N/lam + a*sqrt(N/m) <= T; the slack of that inequality is reported.
     """
     _require_finite(lam=lam, a=a, N=N, m=m, T=T)
-    m = _require_count("m", m)
-    if lam <= 0 or a < 0 or N <= 0 or m < 1 or T <= 0:
+    m = _require_count("m", m, 1)
+    if lam <= 0 or a < 0 or N <= 0 or T <= 0:
         raise ValueError("parameters must be positive (a may be zero)")
     times = tuple(i * N / (m * lam) for i in range(1, m + 1))
     loads = tuple(N / m for _ in range(m))

@@ -22,6 +22,8 @@ from .core import (
     PointSet,
     Route,
     _group_by_cell,
+    _require_count,
+    _require_finite,
     cell_ids,
     latency_growth_constant,
     total_latency,
@@ -69,16 +71,20 @@ class TrpResult:
 
 @dataclass(frozen=True)
 class WeightedSubpath:
-    """A chunk of service: how many points it visits at which density level."""
+    """A chunk of service: how many points it visits at which density level.
+
+    ``n_visited`` is a whole number of at least 1, stored as an int, and
+    ``density`` is positive and finite; anything else raises ``ValueError``.
+    """
 
     n_visited: int
     density: float
 
     def __post_init__(self):
-        if self.n_visited < 1:
-            raise ValueError("a subpath must visit at least one point")
-        if not self.density > 0:
-            raise ValueError("subpath density must be positive")
+        object.__setattr__(self, "n_visited", _require_count("n_visited", self.n_visited, 1))
+        _require_finite(density=self.density)
+        if self.density <= 0:
+            raise ValueError(f"subpath density must be positive, got {self.density}")
 
 
 def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None) -> TrpResult:
@@ -97,8 +103,8 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
     """
     if d.square != ps.square:
         raise ValueError("density and point set must share the bounding square")
-    if depot is not None and not all(map(math.isfinite, depot)):
-        raise ValueError(f"depot coordinates must be finite, got {tuple(depot)}")
+    if depot is not None:
+        _require_finite(depot_x=depot[0], depot_y=depot[1])
     n = len(ps)
     if n == 0:
         return TrpResult(Route((), closed=False), 0.0)
@@ -119,7 +125,7 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
         members = by_cell[bounds[cell] : bounds[cell + 1]]
         if members.size == 0:
             continue
-        sub = ps.subset(members, d.cell_rect(cell))
+        sub = ps.subset(members, d.square.cell(m, cell))
         tour = np.array(strip_two_opt(sub).route.order, dtype=np.intp)
         pts = sub.coords.take(tour, axis=0)
         dists = np.hypot(pts[:, 0] - exit_pos[0], pts[:, 1] - exit_pos[1])

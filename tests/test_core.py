@@ -160,6 +160,27 @@ class TestSampling:
         d = GridDensity.uniform(2)
         assert len(sample_points(d, 0, RandomSeed(0))) == 0
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, "3", -1])
+    def test_sample_size_must_be_a_count(self, n):
+        # 2.5 and NaN used to raise TypeError from inside numpy
+        with pytest.raises(ValueError, match="n must be"):
+            sample_points(GridDensity.uniform(2), n, RandomSeed(0))
+
+    def test_whole_float_sample_size(self):
+        d = GridDensity.uniform(2)
+        assert np.array_equal(sample_points(d, 5.0, RandomSeed(1)).coords, sample_points(d, 5, RandomSeed(1)).coords)
+
+    @pytest.mark.parametrize("args", [(1.5,), (0, 2.5), (np.float64(3.0),), ("3",), (None,), (-1,), (0, 2**64)])
+    def test_seed_must_be_a_64_bit_integer(self, args):
+        # 1.5 used to build a seed whose generator() raised TypeError
+        with pytest.raises(ValueError, match="master_seed|stream_index"):
+            RandomSeed(*args)
+
+    def test_numpy_integer_seed(self):
+        seed = RandomSeed(np.int64(9), np.uint64(2**63))
+        assert seed == RandomSeed(9, 2**63) and type(seed.master_seed) is int
+        assert seed.generator().random() == RandomSeed(9, 2**63).generator().random()
+
     def test_child_streams_are_stable(self):
         s = RandomSeed(9)
         assert s.child("exp", 1, 2) == s.child("exp", 1, 2)
@@ -291,6 +312,20 @@ class TestValidationAndIO:
         save_points_csv(ps, path)
         back = load_points_csv(path, ps.square)
         assert np.array_equal(ps.coords, back.coords)
+
+    def test_grid_resolution_is_a_count(self):
+        # m = 2.0 used to be stored as a float that every scheme rejected,
+        # uniform(2.0) raised TypeError and the JSON reader truncated 2.5 to 2
+        for d in (GridDensity(2.0, np.ones(4)), GridDensity.uniform(2.0), GridDensity.from_raw(2.0, np.ones(4))):
+            assert d.m == 2 and type(d.m) is int
+            assert np.array_equal(d.cells, GridDensity.uniform(2).cells)
+        for bad in (2.5, math.nan, "2", 0):
+            with pytest.raises(ValueError, match="resolution m"):
+                GridDensity(bad, np.ones(4))
+            with pytest.raises(ValueError, match="resolution m"):
+                GridDensity.uniform(bad)
+        with pytest.raises(ValueError, match="whole number"):
+            density_from_json({"m": 2.5, "cells": [1.0] * 4})
 
     def test_density_json_round_trip(self):
         d = GridDensity(2, [2.0, 1.0, 0.5, 0.5], Square((0.5, -1.0), 2.0))

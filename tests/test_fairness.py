@@ -289,6 +289,12 @@ class TestServiceMap:
         with pytest.raises(ValueError):
             geographic_service_map(random_subset_scheme, GridDensity.uniform(2), seed=RandomSeed(65), **args)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_non_finite_z_rejected(self, z):
+        # used to return NaN half widths
+        with pytest.raises(ValueError, match="z must be finite"):
+            geographic_service_map(random_subset_scheme, GridDensity.uniform(2), 5, 100, 3, RandomSeed(65), z=z)
+
     def test_occupancy_weighted_sum_is_service_rate(self):
         d = GridDensity.uniform(2)
         k, n = 5, 100
@@ -328,6 +334,12 @@ class TestPopulationDensity:
         pop = SEGREGATED
         assert np.allclose(pop.total.cells, [2.0, 2.0, 0.0, 0.0])
         assert np.allclose(pop.population_shares(), [0.5, 0.5])
+
+    def test_resolution_is_a_count(self):
+        pop = PopulationGridDensity(2.0, SEGREGATED.layers)
+        assert pop.m == 2 and type(pop.m) is int
+        with pytest.raises(ValueError, match="whole number"):
+            PopulationGridDensity.from_json(SEGREGATED.to_json() | {"m": 2.5})  # used to truncate to 2
 
     def test_json_round_trip(self):
         back = PopulationGridDensity.from_json(SEGREGATED.to_json())

@@ -49,6 +49,15 @@ class TestRateFit:
             fit_loglog_slope([(10, 1.0), (20, -0.5)])
 
 
+    @pytest.mark.parametrize("samples", [
+        [(1, math.nan), (2, 1.0)], [(1, 1.0), (2, math.inf)], [(1, 1.0), (math.inf, 2.0)], [(math.nan, 1.0), (2, 1.0)],
+    ])
+    def test_non_finite_samples_rejected(self, samples):
+        # used to return a NaN fit, or raise LinAlgError after LAPACK wrote to stderr
+        with pytest.raises(ValueError, match="finite"):
+            fit_loglog_slope(samples)
+
+
 def small_config(tmp_path, name="run", **overrides):
     base = dict(
         experiment="ktsp-rate",
@@ -219,6 +228,12 @@ class TestConfigValidation:
         for workers in (0, -3):
             with pytest.raises(ValueError):
                 small_config(tmp_path, workers=workers)
+
+    @pytest.mark.parametrize("master_seed", [-1, 2**64])
+    def test_master_seed_out_of_range(self, tmp_path, master_seed):
+        # used to build, then fail inside the first trial
+        with pytest.raises(ValueError, match="master_seed"):
+            small_config(tmp_path, master_seed=master_seed)
 
     def test_fractional_trials(self, tmp_path):
         for trials in (2.5, 8.000001, math.nan, math.inf, "8"):

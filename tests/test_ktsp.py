@@ -251,6 +251,14 @@ class TestRateAndTail:
         assert ktsp_grid_scheme(ps, np.int64(4)) == ktsp_grid_scheme(ps, 4)
         assert ktsp_exact(ps, np.int64(4)) == ktsp_exact(ps, 4)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 10.5, "16", 2])
+    def test_n_must_be_a_count_of_at_least_k(self, n):
+        # NaN and 10.5 used to give a value, inf a rate of 0.0
+        for call in (lambda: ktsp_rate(3, n, 1.0), lambda: ktsp_tail_bound(3, n, 1.0, 0.1)):
+            with pytest.raises(ValueError, match="n must be"):
+                call()
+        assert ktsp_rate(3, 16.0, 1.0) == ktsp_rate(3, 16, 1.0)
+
     @pytest.mark.parametrize("area", [math.nan, math.inf, -math.inf])
     def test_rate_rejects_non_finite_area(self, area):
         with pytest.raises(ValueError):

@@ -174,6 +174,20 @@ class TestSubpathOrdering:
         }
         assert max(objs) - min(objs) <= 1e-12
 
+    @pytest.mark.parametrize("n_visited, density", [
+        (math.nan, 1.0), (2.5, 1.0), (0, 1.0), ("3", 1.0), (3, math.inf), (3, math.nan), (3, 0.0),
+    ])
+    def test_invalid_subpath_rejected(self, n_visited, density):
+        # NaN and 2.5 visits used to build and give a NaN objective, an
+        # infinite density an objective of 0
+        with pytest.raises(ValueError, match="n_visited|density"):
+            WeightedSubpath(n_visited, density)
+
+    def test_whole_float_visits_stored_as_int(self):
+        path = WeightedSubpath(3.0, 4.0)
+        assert path.n_visited == 3 and type(path.n_visited) is int
+        assert subpath_objective([path, WeightedSubpath(2, 1.0)], (0, 1)) == 3.0
+
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
             subpath_objective(self.EXAMPLE, (0, 0, 1))
