@@ -60,7 +60,7 @@ def _require_count(name: str, value: float, least: int = 0) -> int:
     at least ``least`` (1.0 is; "3", 2.5 and NaN are not)."""
     try:
         whole = math.isfinite(value) and value == math.floor(value)
-    except TypeError:
+    except (TypeError, OverflowError):  # an int beyond float range overflows
         whole = False
     if not whole:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
@@ -86,7 +86,7 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         try:
             finite = math.isfinite(value)
-        except TypeError:
+        except (TypeError, OverflowError):
             finite = False
         if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")

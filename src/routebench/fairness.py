@@ -424,12 +424,15 @@ def geographic_service_map(
     """Estimate per-cell service probabilities for a k-subset scheme.
 
     k is an integer of at least 2, n and trials are whole numbers (trials at
-    least 1) and z is finite; anything else raises ``ValueError``.
+    least 1) and z, the normal quantile of the half widths, is finite and
+    nonnegative; anything else raises ``ValueError``.
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", n)
     trials = _require_count("trials", trials, 1)
     _require_finite(z=z)
+    if z < 0:
+        raise ValueError(f"z must be nonnegative, got {z}")
     m2 = d.m * d.m
     served = np.zeros(m2, dtype=np.int64)
     totals = np.zeros(m2, dtype=np.int64)

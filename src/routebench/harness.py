@@ -32,6 +32,7 @@ from .core import (
     GridDensity,
     RandomSeed,
     _require_count,
+    _require_finite,
     _square_from_json,
     density_from_json,
     sample_points,
@@ -105,8 +106,9 @@ class ExperimentConfig:
     Counts are coerced to int and ``epsilon`` and ``targets`` to float, so a
     config built in code hashes like the same config read back from its
     JSON.  A count that is not a whole number (``trials=2.5``) raises
-    ``ValueError``; it is not truncated.  So does a negative count, or a
-    ``master_seed`` that does not fit in 64 bits.
+    ``ValueError``; it is not truncated.  So does a negative count, a
+    ``master_seed`` that does not fit in 64 bits, or a NaN or infinite
+    ``epsilon`` or target.
     """
 
     experiment: str
@@ -131,6 +133,7 @@ class ExperimentConfig:
         RandomSeed(self.master_seed)  # a seed out of range fails here, not inside the first trial
         object.__setattr__(self, "targets", tuple(map(float, self.targets)))
         object.__setattr__(self, "epsilon", float(self.epsilon))
+        _require_finite(epsilon=self.epsilon, **{f"targets[{i}]": t for i, t in enumerate(self.targets)})
         unknown = sorted(set(self.thresholds) - set(kind.thresholds))
         if unknown:
             raise ValueError(f"unknown {self.experiment} thresholds {unknown}; known: {sorted(kind.thresholds)}")

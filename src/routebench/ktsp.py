@@ -140,9 +140,10 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
 
     k = 2 and k = 3 are solved in closed form for any n (closest pair,
     best middle point).  Larger k runs the Held-Karp dynamic program from
-    every start point up to paths of k points: time O(n^2 * 2^n), memory
-    n * 2^n float64 plus int8 (0.44 MB at n = 12); capped at n <= 12.  Among
-    paths of equal cost, the lowest-index predecessor wins at every step.
+    every start point up to paths of k points: time O(n^2 * 2^n), memory n
+    float64 per subset of at most k points (76 KB at n = 12, k = 4; 0.39 MB
+    at k = 12) and no parent table; capped at n <= 12.  Among paths of
+    equal cost, the lowest-index predecessor wins at every step.
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", len(ps), k)
@@ -167,12 +168,11 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
         route = Route((a, mid, b), closed=False)
         return KtspResult(route, float(totals[mid]), 0, None)
 
-    cost, parent = _held_karp(dist, np.zeros(n), k)
-    layer = _layers(n)[k]
+    cost = _held_karp(dist, np.zeros(n), k)
     # among ties the lowest mask, then the highest last point: of a path and
     # its reverse at equal cost, the one starting at the lower index
-    flat = int(np.argmin(cost[layer][:, ::-1]))
-    order = _path_to(parent, int(layer[flat // n]), n - 1 - flat % n)
+    flat = int(np.argmin(cost[k].T[:, ::-1]))
+    order = _path_to(cost, dist, int(_layers(n)[k][flat // n]), n - 1 - flat % n)
     route = Route(tuple(order), closed=False)
     return KtspResult(route, route_length(route, ps), 0, None)
 

@@ -152,9 +152,9 @@ def trp_exact(ps: PointSet) -> TrpResult:
 
     Held-Karp dynamic program over (visited set, last) from every start
     point; extending a partial order of size s charges the new edge (n - s)
-    times.  Time O(n^2 * 2^n), memory n * 2^n float64 plus int8 (0.96 MB at
-    n = 13); capped at n <= 13.  Among orders of equal cost, the lowest-index
-    predecessor wins at every step.
+    times.  Time O(n^2 * 2^n), memory n * 2^n float64 (0.85 MB at n = 13)
+    and no parent table; capped at n <= 13.  Among orders of equal cost, the
+    lowest-index predecessor wins at every step.
     """
     n = len(ps)
     if n > EXACT_TRP_MAX_N:
@@ -165,9 +165,9 @@ def trp_exact(ps: PointSet) -> TrpResult:
         return TrpResult(Route((0,), closed=False), 0.0)
 
     # the edge that grows a path to s points delays the n - s + 1 points after it
-    cost, parent = _held_karp(_distance_matrix(ps), np.zeros(n), n, weights=n + 1 - np.arange(n + 1))
-    full = (1 << n) - 1
-    route = Route(tuple(_path_to(parent, full, int(np.argmin(cost[full])))), closed=False)
+    dist, weights = _distance_matrix(ps), n + 1 - np.arange(n + 1)
+    cost = _held_karp(dist, np.zeros(n), n, weights)
+    route = Route(tuple(_path_to(cost, dist, (1 << n) - 1, int(np.argmin(cost[n][:, 0])), weights)), closed=False)
     return TrpResult(route, total_latency(route, ps))
 
 

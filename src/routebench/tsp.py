@@ -423,71 +423,75 @@ def _steps(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     """The states (mask, v) of each subset size s, with v a point in the
     mask, cut into blocks of at most ``_HK_BLOCK`` states.
 
-    A block holds, per state, its index ``mask * n + v`` in the flattened
-    (2^n, n) tables and the mask without v (int32), and v (int8): 9 bytes
-    per state and n * 2^(n-1) states in all, 1.03 MB at n = 14.  Every
-    array is read-only, as the cache shares them.
+    A block holds, per state, its index ``v * C(n, s) + rank(mask)`` in the
+    flattened size-s table and the rank of mask - v among the masks of size
+    s - 1 (int32), and v (int8): 9 bytes per state and n * 2^(n-1) states in
+    all, 1.03 MB at n = 14.  Every array is read-only, as the cache shares them.
     """
+    layers = _layers(n)
     steps = []
-    for layer in _layers(n):
-        layer = layer.astype(np.int32)
-        sels = [layer[(layer >> v) & 1 == 1] for v in range(n)]
-        state = np.concatenate([m * n + v for v, m in enumerate(sels)])
-        prev = np.concatenate([m ^ (1 << v) for v, m in enumerate(sels)])
-        last = np.repeat(np.arange(n, dtype=np.int8), [len(m) for m in sels])
-        for a in (state, prev, last):
+    for s, layer in enumerate(layers):
+        cols = [np.flatnonzero(layer >> v & 1) for v in range(n)]  # ranks of the masks holding v
+        out = np.concatenate([v * len(layer) + r for v, r in enumerate(cols)]).astype(np.int32)
+        prev = np.concatenate([layer[r] ^ (1 << v) for v, r in enumerate(cols)])
+        prev = np.searchsorted(layers[s - 1], prev).astype(np.int32)  # layers are sorted
+        last = np.repeat(np.arange(n, dtype=np.int8), [len(r) for r in cols])
+        for a in (out, prev, last):
             a.flags.writeable = False  # and so are the blocks, views of them
-        cuts = range(_HK_BLOCK, len(state), _HK_BLOCK)
-        steps.append(tuple(zip(np.split(state, cuts), np.split(prev, cuts), np.split(last, cuts))))
+        cuts = range(_HK_BLOCK, len(out), _HK_BLOCK)
+        steps.append(tuple(zip(np.split(out, cuts), np.split(prev, cuts), np.split(last, cuts))))
     return tuple(steps)
 
 
 def _held_karp(
     dist: np.ndarray, start_cost: np.ndarray, stop: int, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> list[np.ndarray]:
     """Held-Karp subset dynamic program over (visited set, last point).
 
-    ``cost[mask, v]`` is the cheapest path through exactly the points in
-    ``mask`` that ends at v; a one-point path {v} costs ``start_cost[v]``,
-    and the edge that grows a path to s points costs
-    ``weights[s]`` times its length (1 without ``weights``).  Layers are
-    filled by popcount up to ``stop``.  The states of a layer are relaxed
-    in the blocks of :func:`_steps`, one numpy step per block: state
-    (mask, v) takes the least, over all n points u, of ``cost[mask - v, u]``
-    plus the weighted edge (u, v), where u outside mask - v costs inf.  Ties
-    go to the lowest-index predecessor, recorded in ``parent`` (-1 for one-
-    point paths and unfilled states).
+    ``cost[s][v, r]`` is the cheapest path through exactly the points of
+    ``_layers(n)[s][r]`` that ends at v (inf for v outside that mask); a
+    one-point path {v} costs ``start_cost[v]``, and the edge that grows a
+    path to s points costs ``weights[s]`` times its length (1 without
+    ``weights``).  Tables exist up to s = ``stop``.  The states of size s
+    are relaxed in the blocks of :func:`_steps`, one numpy step per block:
+    state (mask, v) takes the least, over all n points u, of
+    ``cost[s - 1][u, rank(mask - v)]`` plus the weighted edge (u, v), where
+    u outside mask - v costs inf.  No parent is stored: see :func:`_path_to`.
 
-    Time O(n^2 * 2^n); memory n * 2^n float64 costs plus int8 parents, the
-    cached blocks, and n float64 per state of one block.
+    Time O(n^2 * 2^n); memory n float64 per mask of at most ``stop`` points,
+    the cached blocks, and 2n float64 per state of one block.
     """
     n = len(start_cost)
-    cost = np.full((1 << n, n), np.inf)
-    parent = np.full((1 << n, n), -1, dtype=np.int8)
+    cost = [np.full((n, len(layer)), np.inf) for layer in _layers(n)[: stop + 1]]
     points = np.arange(n)
-    cost[1 << points, points] = start_cost
-    cost_flat, parent_flat = cost.reshape(-1), parent.reshape(-1)
-    row_start = n * np.arange(_HK_BLOCK)  # where each row of a block starts, flattened
+    cost[1][points, points] = start_cost  # {v} is the v-th mask of size 1
     steps = _steps(n)
-    dist_t = np.ascontiguousarray(dist.T)
     for s in range(2, stop + 1):
-        edge = dist_t if weights is None else dist_t * weights[s]  # edge[v, u]: the edge (u, v), weighted
-        for state, prev, last in steps[s]:
-            cand = cost.take(prev, axis=0)
-            cand += edge.take(last, axis=0)
-            best = cand.argmin(axis=1)
-            parent_flat[state] = best
-            best += row_start[: len(state)]
-            cost_flat[state] = cand.take(best)
-    return cost, parent
+        edge = dist if weights is None else dist * weights[s]  # edge[u, v]: the edge (u, v), weighted
+        table = cost[s].reshape(-1)
+        for out, prev, last in steps[s]:
+            cand = cost[s - 1].take(prev, axis=1)
+            cand += edge.take(last, axis=1)
+            table[out] = np.minimum.reduce(cand, axis=0)
+    return cost
 
 
-def _path_to(parent: np.ndarray, mask: int, last: int) -> list[int]:
-    """The optimal path of state (mask, last), first point first."""
-    order = []
-    while last != -1:
+def _path_to(
+    cost: list[np.ndarray], dist: np.ndarray, mask: int, last: int, weights: np.ndarray | None = None
+) -> list[int]:
+    """The optimal path of state (mask, last) in the tables that
+    :func:`_held_karp` built from ``dist`` and ``weights``, first point first.
+
+    Each step back forms the state's candidate sums as the kernel did and
+    takes the first least one, the lowest-index predecessor.
+    """
+    layers = _layers(len(dist))
+    order = [last]
+    for s in range(bin(mask).count("1"), 1, -1):
+        mask ^= 1 << last
+        edge = dist[:, last] if weights is None else dist[:, last] * weights[s]
+        last = int(np.argmin(cost[s - 1][:, np.searchsorted(layers[s - 1], mask)] + edge))
         order.append(last)
-        mask, last = mask ^ (1 << last), int(parent[mask, last])
     order.reverse()
     return order
 
@@ -497,9 +501,10 @@ def tsp_exact(ps: PointSet) -> TspResult:
 
     Point 0 anchors the tour (cyclic symmetry makes this lossless), so the
     program runs over the other n - 1 points with paths starting one edge
-    away from it.  Time O(n^2 * 2^n), memory n * 2^n float64 plus int8 over
-    those n - 1 points (2.1 MB at n = 15); capped at n <= 15.  Among tours of
-    equal cost, the lowest-index predecessor wins at every step.
+    away from it.  Time O(n^2 * 2^n), memory n * 2^n float64 over those
+    n - 1 points (1.8 MB at n = 15) and no parent table; capped at n <= 15.
+    Among tours of equal cost, the lowest-index predecessor wins at every
+    step.
     """
     n = len(ps)
     if n < 1:
@@ -511,9 +516,8 @@ def tsp_exact(ps: PointSet) -> TspResult:
         return TspResult(route, route_length(route, ps), "exact")
 
     dist = _distance_matrix(ps)
-    cost, parent = _held_karp(dist[1:, 1:], dist[0, 1:], n - 1)
-    full = (1 << (n - 1)) - 1
-    last = int(np.argmin(cost[full] + dist[1:, 0]))
-    order = (0,) + tuple(v + 1 for v in _path_to(parent, full, last))
+    cost = _held_karp(dist[1:, 1:], dist[0, 1:], n - 1)
+    last = int(np.argmin(cost[n - 1][:, 0] + dist[1:, 0]))
+    order = (0,) + tuple(v + 1 for v in _path_to(cost, dist[1:, 1:], (1 << (n - 1)) - 1, last))
     route = Route(order, closed=True)
     return TspResult(route, route_length(route, ps), "exact")

@@ -15,6 +15,7 @@ from routebench import (
     UNIT_SQUARE,
     density_from_json,
     density_to_json,
+    ktsp_rate,
     last_latency,
     latency_growth_constant,
     load_points_csv,
@@ -326,6 +327,16 @@ class TestValidationAndIO:
                 GridDensity.uniform(bad)
         with pytest.raises(ValueError, match="whole number"):
             density_from_json({"m": 2.5, "cells": [1.0] * 4})
+
+    def test_ints_beyond_float_range_rejected(self):
+        # math.isfinite converts an int to float, which used to raise
+        # OverflowError instead of ValueError
+        with pytest.raises(ValueError, match="whole number"):
+            ktsp_rate(3, 10**400, 1.0)
+        with pytest.raises(ValueError, match="resolution m"):
+            GridDensity.uniform(10**400)
+        with pytest.raises(ValueError, match="area must be finite"):
+            ktsp_rate(3, 10, 10**400)
 
     def test_density_json_round_trip(self):
         d = GridDensity(2, [2.0, 1.0, 0.5, 0.5], Square((0.5, -1.0), 2.0))

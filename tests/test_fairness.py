@@ -295,6 +295,11 @@ class TestServiceMap:
         with pytest.raises(ValueError, match="z must be finite"):
             geographic_service_map(random_subset_scheme, GridDensity.uniform(2), 5, 100, 3, RandomSeed(65), z=z)
 
+    def test_negative_z_rejected(self):
+        # used to return negative half widths
+        with pytest.raises(ValueError, match="z must be nonnegative"):
+            geographic_service_map(random_subset_scheme, GridDensity.uniform(2), 5, 100, 3, RandomSeed(65), z=-1.96)
+
     def test_occupancy_weighted_sum_is_service_rate(self):
         d = GridDensity.uniform(2)
         k, n = 5, 100

@@ -235,6 +235,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="master_seed"):
             small_config(tmp_path, master_seed=master_seed)
 
+    def test_non_finite_fairness_mix(self):
+        # used to build, then fail in fairness_lp when the run prepared the mix
+        cfg = default_config("fairness-audit")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                dataclasses.replace(cfg, epsilon=bad)
+            with pytest.raises(ValueError, match=r"targets\[1\]"):
+                dataclasses.replace(cfg, targets=(0.5, bad))
+
     def test_fractional_trials(self, tmp_path):
         for trials in (2.5, 8.000001, math.nan, math.inf, "8"):
             with pytest.raises(ValueError, match="trials"):

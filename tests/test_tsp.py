@@ -21,7 +21,16 @@ from routebench import (
     tsp_exact,
     two_opt,
 )
-from routebench.tsp import _HK_BLOCK, NEIGHBORS, _neighbor_lists, _steps
+from routebench.tsp import (
+    _HK_BLOCK,
+    NEIGHBORS,
+    _distance_matrix,
+    _held_karp,
+    _layers,
+    _neighbor_lists,
+    _path_to,
+    _steps,
+)
 
 UNIT_CORNERS = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -34,6 +43,33 @@ def brute_force_tour(ps):
         order = (0,) + perm
         best = min(best, route_length(Route(order, closed=True), ps))
     return best
+
+
+def reference_held_karp(dist, start_cost, stop, weights=None):
+    """Held-Karp in plain Python, with an explicit parent table.
+
+    Returns ``cost`` and ``parent``, dicts keyed by state (mask, v) for
+    every mask of at most ``stop`` points and v in it; a state's parent is
+    the lowest-index u of least ``cost[mask - v, u]`` plus the weighted
+    edge (u, v), and None for one-point paths.
+    """
+    n = len(start_cost)
+    dist = dist.tolist()
+    cost = {(1 << v, v): float(start_cost[v]) for v in range(n)}
+    parent = dict.fromkeys(cost)
+    for mask in sorted(range(1 << n), key=lambda m: bin(m).count("1")):
+        s = bin(mask).count("1")
+        if not 2 <= s <= stop:
+            continue
+        w = 1 if weights is None else int(weights[s])
+        for v in (v for v in range(n) if mask >> v & 1):
+            prev, best, arg = mask ^ (1 << v), math.inf, None
+            for u in (u for u in range(n) if prev >> u & 1):
+                c = cost[prev, u] + (dist[u][v] if weights is None else dist[u][v] * w)
+                if c < best:
+                    best, arg = c, u
+            cost[mask, v], parent[mask, v] = best, arg
+    return cost, parent
 
 
 class TestStripTour:
@@ -392,14 +428,48 @@ class TestExactTour:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12])
     def test_step_blocks_cover_each_state_once(self, n):
+        layers = _layers(n)
         for s, layer in enumerate(_steps(n)):
-            assert all(len(state) <= _HK_BLOCK for state, _, _ in layer)
-            state, prev, last = (np.concatenate(parts).astype(np.int64) for parts in zip(*layer))
-            mask = state // n
-            assert np.array_equal(state % n, last)
-            assert np.array_equal(prev, mask ^ (1 << last))
-            expected = [m * n + v for m in range(1 << n) if bin(m).count("1") == s for v in range(n) if m >> v & 1]
-            assert sorted(state.tolist()) == expected
+            assert all(len(out) <= _HK_BLOCK for out, _, _ in layer)
+            out, prev, last = (np.concatenate(parts).astype(np.int64) for parts in zip(*layer))
+            v, rank = np.divmod(out, len(layers[s]))  # out = v * C(n, s) + rank(mask)
+            mask = layers[s][rank]
+            assert np.array_equal(v, last)
+            assert np.array_equal(layers[s - 1][prev], mask ^ (1 << last))  # empty at s = 0
+            expected = [(m, v) for m in range(1 << n) if bin(m).count("1") == s for v in range(n) if m >> v & 1]
+            assert sorted(zip(mask.tolist(), last.tolist())) == expected
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "stacked"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n,stop", [(2, 2), (5, 5), (7, 4), (8, 8), (8, 6)])
+    def test_kernel_matches_reference(self, kind, weighted, n, stop):
+        # every state's cost bit for bit, and every final state's path is
+        # the chain of lowest-index parents
+        if kind == "random":
+            ps = sample_points(GridDensity.uniform(1), n, RandomSeed(604, n))
+        elif kind == "lattice":  # integer points, many equal distances
+            ps = PointSet([(i % 3, i // 3) for i in range(n)], Square((0.0, 0.0), 3.0))
+        else:  # every distance 0, every path tied
+            ps = PointSet([(0.25, 0.5)] * n)
+        dist = _distance_matrix(ps)
+        weights = n + 1 - np.arange(n + 1) if weighted else None
+        start = dist[0] + 0.5  # one-point paths of unequal cost
+        cost, parent = reference_held_karp(dist, start, stop, weights)
+        tables = _held_karp(dist, start, stop, weights)
+        assert len(tables) == stop + 1
+        for s, layer in enumerate(_layers(n)[: stop + 1]):
+            expected = np.full((n, len(layer)), np.inf)
+            for r, m in enumerate(layer.tolist()):
+                for v in range(n):
+                    expected[v, r] = cost.get((m, v), math.inf)
+            assert tables[s].tobytes() == expected.tobytes()
+        for m in _layers(n)[stop].tolist():
+            for v in (v for v in range(n) if m >> v & 1):
+                chain, state = [], (m, v)
+                while state[1] is not None:
+                    chain.append(state[1])
+                    state = (state[0] ^ (1 << state[1]), parent[state])
+                assert _path_to(tables, dist, m, v, weights) == chain[::-1]
 
     def test_method_chain_ordering(self):
         # exact <= strip+2opt <= strip on every instance where all are defined
