@@ -55,6 +55,16 @@ BETA_TSP_BRACKET = (0.6250, 0.9204)
 # argument; arrays are checked where they are built.
 
 
+def _brief(value) -> str:
+    """``repr(value)`` cut to 40 characters, for error messages; a value
+    holding an int too long for ``repr`` is shown by its type."""
+    try:
+        text = repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _require_count(name: str, value: float, least: int = 0) -> int:
     """``value`` as an int; ValueError unless it is a finite whole number of
     at least ``least`` (1.0 is; "3", 2.5 and NaN are not)."""
@@ -63,9 +73,9 @@ def _require_count(name: str, value: float, least: int = 0) -> int:
     except (TypeError, OverflowError):  # an int beyond float range overflows
         whole = False
     if not whole:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+        raise ValueError(f"{name} must be a whole number, got {_brief(value)}")
     if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        raise ValueError(f"{name} must be at least {_brief(least)}, got {_brief(value)}")
     return int(value)
 
 
@@ -75,9 +85,9 @@ def _require_int(name: str, value: int, least: int) -> int:
     try:
         value = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {_brief(value)}") from None
     if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
+        raise ValueError(f"{name} must be at least {_brief(least)}, got {_brief(value)}")
     return value
 
 
@@ -89,7 +99,7 @@ def _require_finite(**values: float) -> None:
         except (TypeError, OverflowError):
             finite = False
         if not finite:
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {_brief(value)}")
 
 
 class Point(NamedTuple):
@@ -283,7 +293,9 @@ class RandomSeed:
         seed = _require_int("master_seed", self.master_seed, 0)
         stream = _require_int("stream_index", self.stream_index, 0)
         if seed >= 2**64 or stream >= 2**64:
-            raise ValueError(f"master_seed and stream_index must fit in 64 bits, got {seed} and {stream}")
+            raise ValueError(
+                f"master_seed and stream_index must fit in 64 bits, got {_brief(seed)} and {_brief(stream)}"
+            )
         object.__setattr__(self, "master_seed", seed)
         object.__setattr__(self, "stream_index", stream)
 

@@ -8,17 +8,16 @@ target served proportions per population while favouring dense cells, and
 a randomized sampler draws a cell from that mixture before routing.
 
 The program is solved by a two-phase simplex with Bland's anti-cycling
-rule on a dense tableau, with no size cap.  It returns a basic optimal
-solution, which keeps the guaranteed sparse support observable: at most P
-cells get positive probability under hard constraints, P + 1 under a
-tolerance.
+rule on a dense tableau, with no size cap.  It returns the vertex Bland's
+rule reaches, a basic optimal solution, which keeps the guaranteed sparse
+support observable: at most P cells get positive probability under hard
+constraints, P + 1 under a tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -162,26 +161,6 @@ def _bland(T: np.ndarray, basis: np.ndarray, columns: int) -> None:
         basis[row] = col
 
 
-def _row_systems(targets: np.ndarray, epsilon: float, d: int):
-    """Square systems of d active rows, as (row indices, right-hand side).
-
-    Row 0 is the simplex row, row 1 + i population i's band; at most one
-    side of a band is active.  Order: with the simplex row first, then
-    populations ascending, the upper side before the lower.
-    """
-    P = targets.size
-    sides = (0.0,) if epsilon == 0 else (1.0, -1.0)
-    for use_simplex in (True, False):
-        need = d - use_simplex
-        if not 0 <= need <= P:
-            continue
-        for pops in combinations(range(P), need):
-            for signs in product(sides, repeat=need):
-                idx = [0] * use_simplex + [1 + i for i in pops]
-                rhs = [1.0] * use_simplex + [float(targets[i] + s * epsilon) for i, s in zip(pops, signs)]
-                yield np.array(idx), np.array(rhs)
-
-
 def fairness_lp(
     pop: PopulationGridDensity,
     k: int,
@@ -194,13 +173,9 @@ def fairness_lp(
     simplex subject to |sum_j q_j f_ij / f_j - p_i| <= epsilon for every
     population i; zero-density cells are excluded from the variables.
 
-    Solved by a two-phase simplex with Bland's rule, which returns a basic
-    optimal solution, so the support-size guarantee holds.  q is then
-    re-solved on that support from the active rows, the simplex row first,
-    then populations ascending, the upper band side first; the first system
-    with the best objective wins.  Among equal-objective vertices (every
-    supported cell of the same total density) the one Bland's rule reaches
-    is returned.  Raises :class:`InfeasibleError` when Phase I cannot meet
+    Solved by a two-phase simplex with Bland's rule; q is the vertex Bland's
+    rule reaches, a basic optimal solution, so the support-size guarantee
+    holds.  Raises :class:`InfeasibleError` when Phase I cannot meet
     every row, naming the population with the largest band violation at
     the Phase I point (the lowest index on ties).
     """
@@ -274,34 +249,14 @@ def fairness_lp(
     _bland(T, basis, N)
 
     cells = basis < J
-    S = np.sort(basis[cells & (T[:-1, -1] > _TOL)])
-    best_obj, best_q = math.inf, None
-    for row_idx, rhs in _row_systems(targets, epsilon, S.size):
-        mat = rows[np.ix_(row_idx, S)]
-        if abs(np.linalg.det(mat)) <= 1e-12:
-            continue
-        q_s = np.linalg.solve(mat, rhs)
-        if np.any(q_s < -_TOL):
-            continue
-        q = np.zeros(J)
-        q[S] = np.clip(q_s, 0.0, None)
-        if abs(q.sum() - 1.0) > _TOL or np.max(np.abs(ratios @ q - targets)) - epsilon > _TOL:
-            continue
-        obj = float(costs @ q)
-        if obj < best_obj - 1e-12:
-            best_obj, best_q = obj, q
-    if best_q is None:
-        # an ill-conditioned support: every row system on it fails the
-        # determinant filter, so keep the simplex's own basic solution
-        best_q = np.zeros(J)
-        best_q[basis[cells]] = np.clip(T[:-1, -1][cells], 0.0, None)
-        best_obj = float(costs @ best_q)
+    q = np.zeros(J)
+    q[basis[cells]] = np.clip(T[:-1, -1][cells], 0.0, None)
 
     q_full = np.zeros(f.size)
-    q_full[supported] = best_q
+    q_full[supported] = q
     support = tuple(np.flatnonzero(q_full > 1e-12).tolist())
     q_full.setflags(write=False)
-    return FairnessMix(q_full, support, best_obj, epsilon)
+    return FairnessMix(q_full, support, float(costs @ q), epsilon)
 
 
 def fair_ktsp_sample(

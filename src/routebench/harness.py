@@ -107,8 +107,9 @@ class ExperimentConfig:
     config built in code hashes like the same config read back from its
     JSON.  A count that is not a whole number (``trials=2.5``) raises
     ``ValueError``; it is not truncated.  So does a negative count, a
-    ``master_seed`` that does not fit in 64 bits, or a NaN or infinite
-    ``epsilon`` or target.
+    ``master_seed`` that does not fit in 64 bits, or an ``epsilon`` or
+    target that is not a finite real (NaN, infinite, or an int beyond float
+    range).
     """
 
     experiment: str
@@ -131,9 +132,10 @@ class ExperimentConfig:
         for name in _COUNT_TUPLES:
             object.__setattr__(self, name, tuple(_require_count(name, v) for v in getattr(self, name)))
         RandomSeed(self.master_seed)  # a seed out of range fails here, not inside the first trial
-        object.__setattr__(self, "targets", tuple(map(float, self.targets)))
+        targets = tuple(self.targets)
+        _require_finite(epsilon=self.epsilon, **{f"targets[{i}]": t for i, t in enumerate(targets)})
+        object.__setattr__(self, "targets", tuple(map(float, targets)))
         object.__setattr__(self, "epsilon", float(self.epsilon))
-        _require_finite(epsilon=self.epsilon, **{f"targets[{i}]": t for i, t in enumerate(self.targets)})
         unknown = sorted(set(self.thresholds) - set(kind.thresholds))
         if unknown:
             raise ValueError(f"unknown {self.experiment} thresholds {unknown}; known: {sorted(kind.thresholds)}")

@@ -338,6 +338,22 @@ class TestValidationAndIO:
         with pytest.raises(ValueError, match="area must be finite"):
             ktsp_rate(3, 10, 10**400)
 
+    def test_ints_too_long_to_print_are_named(self):
+        # an int of more than 4300 digits has no repr, so formatting it
+        # into the message raised Python's own int-to-string ValueError,
+        # which named no argument
+        huge = 10**5000
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            ktsp_rate(3, huge, 1.0)
+        with pytest.raises(ValueError, match="area must be finite"):
+            ktsp_rate(3, 10, -huge)
+        with pytest.raises(ValueError, match="n must be at least"):
+            ktsp_rate(huge, 10, 1.0)
+        with pytest.raises(ValueError, match="master_seed and stream_index must fit"):
+            RandomSeed(huge)
+        with pytest.raises(ValueError, match=r"got 10{36}\.\.\.$"):
+            ktsp_rate(3, 10**400, 1.0)
+
     def test_density_json_round_trip(self):
         d = GridDensity(2, [2.0, 1.0, 0.5, 0.5], Square((0.5, -1.0), 2.0))
         back = density_from_json(density_to_json(d))

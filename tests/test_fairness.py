@@ -1,5 +1,6 @@
 """Fairness program, randomized sampler, and service-map tests."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -151,11 +152,11 @@ class TestFairnessLp:
             fairness_lp(pop, 2, targets, 0.0)
 
     def test_ill_conditioned_support_is_optimal(self):
-        # populations at 1e-3..1e-5 of the first make every row system on
-        # the optimal support fail the |det| > 1e-12 filter; the enumeration
-        # then returned a worse vertex (objective 0.92458), the simplex keeps
-        # its own basic solution at the optimum 0.90913 (matched to 1e-14 by
-        # an independent LP solver)
+        # populations at 1e-3..1e-5 of the first make every square row system
+        # on the optimal support nearly singular (|det| <= 1e-12); the vertex
+        # enumeration skipped such systems and returned a worse vertex
+        # (objective 0.92458), the simplex's own basic solution is the
+        # optimum 0.90913 (matched to 1e-14 by an independent LP solver)
         rng = np.random.default_rng(6)
         layers = rng.random((4, 9)) * np.array([[1.0], [1e-3], [1e-4], [1e-5]])
         pop = PopulationGridDensity(3, layers * 9 / layers.sum())
@@ -688,17 +689,40 @@ def _golden_draws(seed, count):
     return [random_feasible_instance(rng) for _ in range(count)]
 
 
+# sha256 over the LP_GOLDEN instances' (support, objective.hex(), q bytes),
+# recorded from the simplex itself: a bit-for-bit regression guard
+LP_SIMPLEX_SHA256 = "569984bf87ffcc79010d415a8a5cab6457e9a335578f494b9dbf8e3b260ef634"
+
+
+def _golden_solves():
+    for i, (pop, targets) in enumerate(_golden_draws(2024, len(LP_GOLDEN))):
+        yield fairness_lp(pop, 2 + i % 3, targets, (0.0, 0.05)[i % 2]), pop, LP_GOLDEN[i]
+
+
 class TestLpGolden:
-    def test_feasible_bitwise(self):
+    def test_matches_the_enumeration(self):
+        # the simplex's own vertex against the enumeration's re-solved q:
+        # the same supports, q and objectives within a few ulps
         mismatched = []
-        for i, (pop, targets) in enumerate(_golden_draws(2024, len(LP_GOLDEN))):
-            mix = fairness_lp(pop, 2 + i % 3, targets, (0.0, 0.05)[i % 2])
-            support, objective, q = LP_GOLDEN[i]
+        for i, (mix, pop, (support, objective, q)) in enumerate(_golden_solves()):
             want = np.zeros(pop.m * pop.m)
             want[list(support)] = [float.fromhex(v) for v in q]
-            if mix.support != support or mix.objective.hex() != objective or mix.q.tobytes() != want.tobytes():
+            objective = float.fromhex(objective)
+            if (
+                mix.support != support
+                or np.max(np.abs(mix.q - want)) > 1e-14
+                or abs(mix.objective - objective) > 1e-14 * abs(objective)
+            ):
                 mismatched.append(i)
         assert mismatched == []
+
+    def test_feasible_bitwise(self):
+        digest = hashlib.sha256()
+        for mix, _, _ in _golden_solves():
+            digest.update(repr(mix.support).encode())
+            digest.update(mix.objective.hex().encode())
+            digest.update(mix.q.tobytes())
+        assert digest.hexdigest() == LP_SIMPLEX_SHA256
 
     def test_infeasible_verdict(self):
         rng = np.random.default_rng(2025)

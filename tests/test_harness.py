@@ -244,6 +244,21 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=r"targets\[1\]"):
                 dataclasses.replace(cfg, targets=(0.5, bad))
 
+    def test_fairness_mix_beyond_float_range(self):
+        # float() ran before the finiteness check, so these raised
+        # OverflowError ("int too large to convert to float")
+        cfg = default_config("fairness-audit")
+        with pytest.raises(ValueError, match="epsilon"):
+            dataclasses.replace(cfg, epsilon=10**400)
+        with pytest.raises(ValueError, match=r"targets\[0\]"):
+            dataclasses.replace(cfg, targets=(10**400, 0.5))
+
+    def test_k_grid_too_long_to_print(self):
+        # the message named no field: the int has no repr past 4300 digits
+        cfg = default_config("ktsp-rate")
+        with pytest.raises(ValueError, match="k_grid must be a whole number"):
+            dataclasses.replace(cfg, k_grid=(2, 10**5000))
+
     def test_fractional_trials(self, tmp_path):
         for trials in (2.5, 8.000001, math.nan, math.inf, "8"):
             with pytest.raises(ValueError, match="trials"):

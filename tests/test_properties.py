@@ -12,12 +12,14 @@ from routebench import (
     GridDensity,
     PointSet,
     PopulationGridDensity,
+    RandomSeed,
     Route,
     Square,
     fairness_lp,
     ktsp_exact,
     ktsp_grid_scheme,
     route_length,
+    sample_points,
     strip_tour,
     trp_apriori_scheme,
     trp_exact,
@@ -108,6 +110,43 @@ class TestGridScheme:
         assert result.length == route_length(result.route, ps)
 
 
+class TestSchemeRoutes:
+    """Routes visit the right points and move with their square.  The
+    equivariance tests use fixed seeds, which keep points off grid lines,
+    where rounding could move one across a cell boundary."""
+
+    @PROPERTY
+    @given(squares, fractions, st.integers(1, 4))
+    def test_trp_scheme_visits_every_point_once(self, square, fracs, m):
+        ps = PointSet(points_in(square, fracs), square)
+        order = trp_apriori_scheme(ps, GridDensity.uniform(m, square)).route.order
+        assert sorted(order) == list(range(len(ps)))
+
+    @pytest.mark.parametrize("n", [60, 500])
+    @pytest.mark.parametrize("square", [Square((-3.5, 2.25), 8.0), Square((12.0, -40.0), 0.3)])
+    def test_trp_scheme_under_translation_and_scaling(self, n, square):
+        ps = sample_points(GridDensity.uniform(1), n, RandomSeed(611, n))
+        moved = PointSet(np.asarray(square.origin) + square.side * ps.coords, square)
+        for m in (1, 3, 5):
+            here = trp_apriori_scheme(ps, GridDensity.uniform(m))
+            there = trp_apriori_scheme(moved, GridDensity.uniform(m, square))
+            assert there.route == here.route
+            assert there.latency == pytest.approx(square.side * here.latency, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [60, 500])
+    def test_grid_scheme_under_translation(self, n):
+        # not under scaling: the grid resolution divides by the square's
+        # area, so a larger square gets a coarser grid.  k >= 3 keeps paths
+        # long against the rounding of the shifted coordinates.
+        ps = sample_points(GridDensity.uniform(1), n, RandomSeed(611, n))
+        square = Square((-3.5, 2.25), 1.0)
+        moved = PointSet(np.asarray(square.origin) + ps.coords, square)
+        for k in (3, 5, 9):
+            here, there = ktsp_grid_scheme(ps, k), ktsp_grid_scheme(moved, k)
+            assert there.route == here.route
+            assert there.length == pytest.approx(here.length, rel=1e-12)
+
+
 def exact_sized(min_size: int) -> st.SearchStrategy:
     """Up to 9 points as fractions of the square's side; the corners and
     the centre are drawn often, so points coincide."""
@@ -176,3 +215,5 @@ class TestFairnessLp:
         assert np.all(mix.q[~supported] == 0)
         costs = f[supported] ** (-0.5 * (1.0 + 1.0 / (k - 1)))
         assert mix.objective <= costs @ w + 1e-12
+        assert mix.objective == costs @ q
+        assert len(mix.support) <= P + (epsilon > 0)
