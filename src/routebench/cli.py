@@ -60,13 +60,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_tsp(args) -> int:
-    ps = load_points_csv(args.points)
-    if args.method == "strip":
-        result = strip_tour(ps)
-    elif args.method == "2opt":
-        result = strip_two_opt(ps)
-    else:
-        result = tsp_exact(ps)
+    solve = {"strip": strip_tour, "2opt": strip_two_opt, "exact": tsp_exact}[args.method]
+    result = solve(load_points_csv(args.points))
     _emit({"length": result.length, "method": result.method, "order": list(result.route.order)}, args)
     return 0
 

@@ -39,7 +39,7 @@ from .core import (
     stable_stream,
 )
 from .fairness import FairnessMix, PopulationGridDensity, fair_ktsp_sample, fairness_lp
-from .ktsp import EXACT_KTSP_MAX_N, ktsp_exact, ktsp_grid_scheme, ktsp_rate, ktsp_tail_bound
+from .ktsp import _exact_budget, ktsp_exact, ktsp_grid_scheme, ktsp_rate, ktsp_tail_bound
 from .trp import trp_apriori_scheme, trp_factor_check
 from .tsp import strip_tour
 
@@ -263,8 +263,8 @@ def _tail_trial(density, n, k, seed, _context):
 
 
 def _tail_validate(cfg):
-    if max(cfg.k_grid) >= 4 and max(cfg.n_grid) > EXACT_KTSP_MAX_N:
-        raise ValueError(f"tail-dominance runs ktsp_exact, which takes at most {EXACT_KTSP_MAX_N} points for k >= 4")
+    for k in cfg.k_grid:  # its trials run ktsp_exact
+        _exact_budget(max(cfg.n_grid), k)
     if cfg.alpha_points < 1:
         raise ValueError("alpha_points must be >= 1")
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from .core import GridDensity, PointSet, Route, _path_length, cell_ids, route_length
 from .core import _require_count, _require_finite, _require_int
-from .errors import CapacityError
-from .tsp import _distance_matrix, _held_karp, _layers, _path_to, strip_two_opt
+from .tsp import _distance_matrix, _held_karp, _layers, _path_to, _require_budget, strip_two_opt
 
 __all__ = [
     "KtspResult",
@@ -26,8 +25,6 @@ __all__ = [
     "ktsp_rate",
     "ktsp_tail_bound",
 ]
-
-EXACT_KTSP_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -138,35 +135,26 @@ def ktsp_nonuniform_scheme(ps: PointSet, d: GridDensity, k: int) -> KtspResult:
 def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     """Shortest open path through exactly k of the n points.
 
-    k = 2 and k = 3 are solved in closed form for any n (closest pair,
-    best middle point).  Larger k runs the Held-Karp dynamic program from
-    every start point up to paths of k points: time O(n^2 * 2^n), memory n
-    float64 per subset of at most k points (76 KB at n = 12, k = 4; 0.39 MB
-    at k = 12) and no parent table; capped at n <= 12.  Among paths of
-    equal cost, the lowest-index predecessor wins at every step.
+    k = 2 and k = 3 are solved in closed form from the distance matrix
+    (closest pair, best middle point).  Larger k runs the Held-Karp dynamic
+    program from every start point up to paths of k points: time
+    O(n^2 * 2^n), memory n float64 per subset of at most k points and no
+    parent table.  :func:`_exact_budget` caps n: 1182 at k <= 3, 18 at k = 4.
+    Among paths of equal cost, the lowest-index predecessor wins at every step.
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", len(ps), k)
-    if k >= 4 and n > EXACT_KTSP_MAX_N:
-        raise CapacityError(f"ktsp_exact supports at most {EXACT_KTSP_MAX_N} points for k >= 4, got {n}")
+    _exact_budget(n, k)
     dist = _distance_matrix(ps)
 
-    if k == 2:
-        masked = dist + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-        flat = int(np.argmin(masked))
-        i, j = divmod(flat, n)
-        order = (min(i, j), max(i, j))
-        route = Route(order, closed=False)
-        return KtspResult(route, float(masked[i, j]), 0, None)
-
-    if k == 3:
-        masked = dist + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-        nearest2 = np.argsort(masked, axis=1, kind="stable")[:, :2]
-        totals = np.take_along_axis(masked, nearest2, axis=1).sum(axis=1)
+    if k <= 3:  # the point whose k - 1 nearest others lie closest, with them
+        np.fill_diagonal(dist, np.inf)
+        near = np.argsort(dist, axis=1, kind="stable")[:, :2] if k == 3 else dist.argmin(axis=1)[:, None]
+        totals = np.take_along_axis(dist, near, axis=1).sum(axis=1)
         mid = int(np.argmin(totals))
-        a, b = int(nearest2[mid, 0]), int(nearest2[mid, 1])
-        route = Route((a, mid, b), closed=False)
-        return KtspResult(route, float(totals[mid]), 0, None)
+        a, *b = near[mid].tolist()  # at k = 2 mid < a: mid is the first row holding the least pair
+        order = (mid, a) if k == 2 else (a, mid, *b)
+        return KtspResult(Route(order, closed=False), float(totals[mid]), 0, None)
 
     cost = _held_karp(dist, np.zeros(n), k)
     # among ties the lowest mask, then the highest last point: of a path and
@@ -175,6 +163,11 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     order = _path_to(cost, dist, int(_layers(n)[k][flat // n]), n - 1 - flat % n)
     route = Route(tuple(order), closed=False)
     return KtspResult(route, route_length(route, ps), 0, None)
+
+
+def _exact_budget(n: int, k: int) -> None:
+    """:func:`_require_budget` for ktsp_exact, whose k = 2 and 3 need no DP."""
+    _require_budget(f"ktsp_exact at k = {k}", n, n if k >= 4 else 0, k)
 
 
 def ktsp_rate(k: int, n: int, area: float) -> float:

@@ -28,8 +28,7 @@ from .core import (
     latency_growth_constant,
     total_latency,
 )
-from .errors import CapacityError
-from .tsp import _distance_matrix, _held_karp, _path_to, strip_two_opt
+from .tsp import _distance_matrix, _held_karp, _path_to, _require_budget, strip_two_opt
 
 __all__ = [
     "TrpResult",
@@ -40,8 +39,6 @@ __all__ = [
     "subpath_objective",
     "trp_factor_check",
 ]
-
-EXACT_TRP_MAX_N = 13
 
 
 @dataclass(frozen=True)
@@ -152,17 +149,14 @@ def trp_exact(ps: PointSet) -> TrpResult:
 
     Held-Karp dynamic program over (visited set, last) from every start
     point; extending a partial order of size s charges the new edge (n - s)
-    times.  Time O(n^2 * 2^n), memory n * 2^n float64 (0.85 MB at n = 13)
-    and no parent table; capped at n <= 13.  Among orders of equal cost, the
-    lowest-index predecessor wins at every step.
+    times.  Time O(n^2 * 2^n), memory n * 2^n float64 and no parent table;
+    :func:`~routebench.tsp._require_budget` refuses n > 17.  Among orders of
+    equal cost, the lowest-index predecessor wins at every step.
     """
     n = len(ps)
-    if n > EXACT_TRP_MAX_N:
-        raise CapacityError(f"trp_exact supports at most {EXACT_TRP_MAX_N} points, got {n}")
+    _require_budget("trp_exact", n, n, n)
     if n == 0:
         return TrpResult(Route((), closed=False), 0.0)
-    if n == 1:
-        return TrpResult(Route((0,), closed=False), 0.0)
 
     # the edge that grows a path to s points delays the n - s + 1 points after it
     dist, weights = _distance_matrix(ps), n + 1 - np.arange(n + 1)

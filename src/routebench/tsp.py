@@ -22,7 +22,8 @@ from .errors import CapacityError
 
 __all__ = ["TspResult", "strip_tour", "two_opt", "strip_two_opt", "tsp_exact"]
 
-EXACT_TSP_MAX_N = 15
+# Bytes an exact oracle may hold; _require_budget derives each one's size cap from it.
+EXACT_BUDGET = 32 << 20
 
 # Candidate neighbours per point, and the longest segment an Or-opt move
 # relocates, in ``two_opt``.
@@ -406,7 +407,7 @@ def _distance_matrix(ps: PointSet) -> np.ndarray:
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)  # the sizes used last: the step blocks of 17 points take 10 MB
 def _layers(n: int) -> tuple[np.ndarray, ...]:
     """The subsets of n points as bitmasks, grouped by size: entry s holds
     every mask of popcount s in increasing order."""
@@ -418,7 +419,7 @@ def _layers(n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.split(masks, np.cumsum(np.bincount(pc))[:-1]))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _steps(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], ...]:
     """The states (mask, v) of each subset size s, with v a point in the
     mask, cut into blocks of at most ``_HK_BLOCK`` states.
@@ -441,6 +442,25 @@ def _steps(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
         cuts = range(_HK_BLOCK, len(out), _HK_BLOCK)
         steps.append(tuple(zip(np.split(out, cuts), np.split(prev, cuts), np.split(last, cuts))))
     return tuple(steps)
+
+
+def _require_budget(oracle: str, n: int, points: int, stop: int) -> None:
+    """Raise ``CapacityError`` if ``oracle`` on n points needs more than
+    ``EXACT_BUDGET`` bytes: 24 per pair for the distance matrix at its peak,
+    plus, for Held-Karp over ``points`` points (0: none) up to paths of
+    ``stop`` points, ``points`` float64 per subset of at most ``stop``
+    points, the step blocks, the int64 masks and one block's candidate
+    sums.  The tables are summed only once the rest fits, at 18 points or
+    fewer, so a large input is refused at once."""
+    need = 24 * n * n
+    if points:
+        p = min(points, 64)  # every term grows with p: past 64 points, a lower bound
+        need += 9 * (p << p) // 2 + (8 << p) + 16 * p * _HK_BLOCK
+        if need <= EXACT_BUDGET:
+            need += 8 * p * sum(math.comb(p, s) for s in range(stop + 1))
+    if need > EXACT_BUDGET:
+        mib = f"{need / 2**20:.4g} MiB, over the {EXACT_BUDGET >> 20} MiB budget"
+        raise CapacityError(f"{oracle} on {n} points needs {mib}")
 
 
 def _held_karp(
@@ -502,18 +522,16 @@ def tsp_exact(ps: PointSet) -> TspResult:
     Point 0 anchors the tour (cyclic symmetry makes this lossless), so the
     program runs over the other n - 1 points with paths starting one edge
     away from it.  Time O(n^2 * 2^n), memory n * 2^n float64 over those
-    n - 1 points (1.8 MB at n = 15) and no parent table; capped at n <= 15.
-    Among tours of equal cost, the lowest-index predecessor wins at every
-    step.
+    n - 1 points and no parent table; :func:`_require_budget` refuses
+    n > 18.  Among tours of equal cost, the lowest-index predecessor wins at
+    every step.
     """
     n = len(ps)
     if n < 1:
         raise ValueError("exact tour of an empty point set is undefined")
-    if n > EXACT_TSP_MAX_N:
-        raise CapacityError(f"tsp_exact supports at most {EXACT_TSP_MAX_N} points, got {n}")
-    if n <= 2:
-        route = Route(tuple(range(n)), closed=True)
-        return TspResult(route, route_length(route, ps), "exact")
+    _require_budget("tsp_exact", n, n - 1, n - 1)
+    if n == 1:  # the program below needs a point besides the anchor
+        return TspResult(Route((0,), closed=True), 0.0, "exact")
 
     dist = _distance_matrix(ps)
     cost = _held_karp(dist[1:, 1:], dist[0, 1:], n - 1)

@@ -1,10 +1,11 @@
-"""Exact oracles at their size caps against recorded optimal values.
+"""Exact oracles on larger instances against recorded optimal values.
 
 The brute-force comparisons elsewhere only reach n <= 8; these instances sit
-at the caps (tsp n <= 15, trp n <= 13, ktsp n <= 12) where only the subset
-dynamic program can answer.  The values were recorded from the package's
-earlier pure-Python dynamic programs, one per oracle, and are stored as
-``float.hex`` literals so they survive a round trip exactly.
+at the oracles' former size caps (tsp n <= 15, trp n <= 13, ktsp n <= 12),
+where only the subset dynamic program can answer.  The values were
+recorded from the package's earlier pure-Python dynamic programs, one per
+oracle, and are stored as ``float.hex`` literals so they survive a round
+trip exactly.
 """
 
 import hashlib

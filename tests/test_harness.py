@@ -10,10 +10,15 @@ import pytest
 
 from routebench import (
     EXPERIMENT_KINDS,
+    CapacityError,
     ExperimentConfig,
+    GridDensity,
+    RandomSeed,
     default_config,
     fit_loglog_slope,
     run_experiment,
+    sample_points,
+    save_points_csv,
 )
 from routebench.cli import main
 from routebench.core import stable_stream
@@ -219,10 +224,13 @@ class TestConfigValidation:
             dataclasses.replace(default_config("trp-factor"), k_grid=(2,))
 
     def test_tail_dominance_beyond_exact_cap(self):
-        cfg = default_config("tail-dominance")  # n = 50 > EXACT_KTSP_MAX_N
+        cfg = default_config("tail-dominance")  # n = 50, above ktsp_exact's cap of 18 at k = 4
         with pytest.raises(ValueError):
             dataclasses.replace(cfg, k_grid=(2, 4))
-        dataclasses.replace(cfg, n_grid=(12,), k_grid=(4,))  # at the cap
+        dataclasses.replace(cfg, n_grid=(12,), k_grid=(4,))
+        dataclasses.replace(cfg, n_grid=(18,), k_grid=(4,))  # at the cap
+        with pytest.raises(CapacityError):
+            dataclasses.replace(cfg, n_grid=(19,), k_grid=(4,))
 
     def test_workers_below_one(self, tmp_path):
         for workers in (0, -3):
@@ -319,6 +327,15 @@ class TestCli:
         assert main(["trp", "--points", str(points), "--density", str(density), "--out", str(out)]) == 0
         result = json.loads(out.read_text())
         assert result["n"] == 30 and len(result["order"]) == 30
+
+    def test_exact_tour_at_the_budget_cap(self, tmp_path):
+        # tsp_exact takes 18 points under its memory budget; above, exit 1
+        for n, code in ((18, 0), (19, 1)):
+            points = tmp_path / f"points{n}.csv"
+            save_points_csv(sample_points(GridDensity.uniform(1), n, RandomSeed(12)), str(points))
+            out = tmp_path / f"tsp{n}.json"
+            assert main(["tsp", "--points", str(points), "--method", "exact", "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
 
     def test_fairness_and_dispatch(self, tmp_path):
         pop = tmp_path / "pop.json"

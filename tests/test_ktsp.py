@@ -159,6 +159,37 @@ class TestExactOracle:
         with pytest.raises(CapacityError):
             ktsp_exact(ps, 4)
 
+    def test_budget_cap(self, monkeypatch):
+        # the 32 MiB budget takes 18 points at k = 4 (23 MiB), 17 at k = 8
+        ps = sample_points(GridDensity.uniform(1), 18, RandomSeed(10))
+        result = ktsp_exact(ps, 4)
+        assert len(result.route) == 4 and not result.route.closed
+        assert result.length == route_length(result.route, ps)
+
+        def no_matrix(ps):
+            raise AssertionError("distance matrix built above the cap")
+
+        monkeypatch.setattr(ktsp, "_distance_matrix", no_matrix)
+        for n, k in ((19, 4), (18, 8)):
+            with pytest.raises(CapacityError, match=f"ktsp_exact at k = {k} on {n} points"):
+                ktsp_exact(sample_points(GridDensity.uniform(1), n, RandomSeed(10)), k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_closed_form_budget_cap(self, monkeypatch, k):
+        # the distance matrix peaks at 24 bytes per pair: 1182 points fit in
+        # 32 MiB, 1183 do not; neither matrix is built here
+        class Built(Exception):
+            pass
+
+        def no_matrix(ps):
+            raise Built
+
+        monkeypatch.setattr(ktsp, "_distance_matrix", no_matrix)
+        with pytest.raises(Built):
+            ktsp_exact(sample_points(GridDensity.uniform(1), 1182, RandomSeed(11)), k)
+        with pytest.raises(CapacityError, match="on 1183 points"):
+            ktsp_exact(sample_points(GridDensity.uniform(1), 1183, RandomSeed(11)), k)
+
 
 class TestNonuniformScheme:
     def test_single_cell_density_identical_to_grid(self):

@@ -15,6 +15,7 @@ from routebench import (
     RandomSeed,
     Route,
     Square,
+    UNIT_SQUARE,
     fairness_lp,
     ktsp_exact,
     ktsp_grid_scheme,
@@ -187,6 +188,25 @@ class TestExactOracles:
         ps = PointSet(points_in(square, fracs), square)
         scheme = trp_apriori_scheme(ps, GridDensity.uniform(m, square))
         assert trp_exact(ps).latency <= scheme.latency + slack(square)
+
+    # Fixed seeds above n = 9, where 2-opt no longer has every point as a
+    # candidate of every other, up to the oracles' caps.
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_tsp_exact_two_opt_strip_beyond_all_candidates(self, n):
+        ps = sample_points(GridDensity.uniform(1), n, RandomSeed(1300 + n))
+        strip = strip_tour(ps)
+        polished = two_opt(ps, strip.route)
+        assert tsp_exact(ps).length <= polished.length + slack(UNIT_SQUARE)
+        assert polished.length <= strip.length + slack(UNIT_SQUARE)
+
+    def test_trp_exact_apriori_scheme_at_cap(self):
+        ps = sample_points(GridDensity.uniform(1), 17, RandomSeed(1317))
+        scheme = trp_apriori_scheme(ps, GridDensity.uniform(2))
+        assert trp_exact(ps).latency <= scheme.latency + slack(UNIT_SQUARE)
+
+    def test_ktsp_exact_grid_scheme_at_cap(self):
+        ps = sample_points(GridDensity.uniform(1), 18, RandomSeed(1318))
+        assert ktsp_exact(ps, 4).length <= ktsp_grid_scheme(ps, 4).length + slack(UNIT_SQUARE)
 
 
 class TestFairnessLp:

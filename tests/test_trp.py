@@ -25,6 +25,7 @@ from routebench import (
     trp_exact,
     trp_factor_check,
 )
+from routebench import trp
 
 
 def brute_force_latency(ps):
@@ -143,9 +144,23 @@ class TestExactOracle:
             assert exact.latency <= scheme.latency + 1e-9
 
     def test_capacity_error(self):
-        ps = sample_points(GridDensity.uniform(1), 14, RandomSeed(8))
+        ps = sample_points(GridDensity.uniform(1), 18, RandomSeed(8))
         with pytest.raises(CapacityError):
             trp_exact(ps)
+
+    def test_budget_cap(self, monkeypatch):
+        # the 32 MiB budget takes 17 points (28 MiB), not 18
+        ps = sample_points(GridDensity.uniform(1), 17, RandomSeed(9))
+        result = trp_exact(ps)
+        assert sorted(result.route.order) == list(range(17))
+        assert result.latency == total_latency(result.route, ps)
+
+        def no_matrix(ps):
+            raise AssertionError("distance matrix built above the cap")
+
+        monkeypatch.setattr(trp, "_distance_matrix", no_matrix)
+        with pytest.raises(CapacityError, match="trp_exact on 18 points"):
+            trp_exact(sample_points(GridDensity.uniform(1), 18, RandomSeed(9)))
 
 
 class TestSubpathOrdering:

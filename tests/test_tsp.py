@@ -21,6 +21,7 @@ from routebench import (
     tsp_exact,
     two_opt,
 )
+from routebench import tsp
 from routebench.tsp import (
     _HK_BLOCK,
     NEIGHBORS,
@@ -412,9 +413,23 @@ class TestExactTour:
             assert tsp_exact(ps).length == pytest.approx(brute_force_tour(ps), abs=1e-9)
 
     def test_capacity_error(self):
-        ps = sample_points(GridDensity.uniform(1), 16, RandomSeed(0))
+        ps = sample_points(GridDensity.uniform(1), 19, RandomSeed(0))
         with pytest.raises(CapacityError):
             tsp_exact(ps)
+
+    def test_budget_cap(self, monkeypatch):
+        # the 32 MiB budget takes 17 points after the anchor (28 MiB), not 18
+        ps = sample_points(GridDensity.uniform(1), 18, RandomSeed(1))
+        result = tsp_exact(ps)
+        assert sorted(result.route.order) == list(range(18))
+        assert result.length == route_length(result.route, ps)
+
+        def no_matrix(ps):
+            raise AssertionError("distance matrix built above the cap")
+
+        monkeypatch.setattr(tsp, "_distance_matrix", no_matrix)
+        with pytest.raises(CapacityError, match="tsp_exact on 19 points"):
+            tsp_exact(sample_points(GridDensity.uniform(1), 19, RandomSeed(1)))
 
     def test_step_cache_footprint(self):
         # 9 bytes per (mask, last point) state, about 1.03 MB at n = 14,
