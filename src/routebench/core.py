@@ -162,6 +162,15 @@ class PointSet:
         object.__setattr__(self, "coords", coords)
 
     @classmethod
+    def _of(cls, coords: np.ndarray, square: Square) -> "PointSet":
+        """A point set that takes over ``coords``, a fresh (n, 2) float64
+        array of finite points inside ``square``: unchecked and not copied."""
+        coords.setflags(write=False)
+        ps = object.__new__(cls)
+        ps.__dict__.update(coords=coords, square=square)
+        return ps
+
+    @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]], square: Square = UNIT_SQUARE) -> "PointSet":
         pts = list(points)
         arr = np.array(pts, dtype=np.float64).reshape(len(pts), 2)
@@ -179,16 +188,17 @@ class PointSet:
         onto the square's edge; one more than 1e-9 of the square's scale
         outside it raises ``ValueError``.
         """
-        coords = self.coords.take(np.asarray(indices, dtype=np.intp), axis=0)
+        coords = self.coords.take(np.asarray(indices, dtype=np.intp), axis=0)  # a fresh copy of finite points
+        if coords.ndim != 2:
+            raise ValueError("coords must have shape (n, 2)")
         square = square or self.square
-        try:
-            return PointSet(coords, square)
-        except ValueError:  # the coordinates are finite: a point lies outside
+        if not _inside(coords, square):
             lo = np.array(square.origin)
             inside = np.clip(coords, lo, lo + square.side)
             if np.abs(inside - coords).max() > 1e-9 * (square.side + np.abs(lo).max()):
-                raise
-            return PointSet(inside, square)
+                raise ValueError("all points must lie inside the bounding square")
+            coords = inside
+        return PointSet._of(coords, square)
 
 
 @dataclass(frozen=True)
@@ -197,7 +207,7 @@ class Route:
 
     Indices must be integers (Python or numpy; floats are rejected, not
     truncated), distinct and nonnegative.  ``order`` is stored as a tuple of
-    Python ints.
+    Python ints.  Routes the library builds are not checked again (``_of``).
     """
 
     order: tuple[int, ...]
@@ -213,6 +223,13 @@ class Route:
         if len(set(order)) != len(order):
             raise ValueError("route indices must be distinct")
         object.__setattr__(self, "order", order)
+
+    @classmethod
+    def _of(cls, order: tuple[int, ...], closed: bool) -> "Route":
+        """A route over ``order``, distinct nonnegative Python ints: unchecked."""
+        route = object.__new__(cls)
+        route.__dict__.update(order=order, closed=closed)
+        return route
 
     def __len__(self) -> int:
         return len(self.order)
@@ -395,6 +412,11 @@ def cell_ids(coords: np.ndarray, square: Square, m: int) -> np.ndarray:
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
     if not _inside(coords, square):
         raise ValueError("point outside the bounding square")
+    return _cell_ids(coords, square, m)
+
+
+def _cell_ids(coords: np.ndarray, square: Square, m: int) -> np.ndarray:
+    """:func:`cell_ids` unchecked: (n, 2) float64 points in the square, an int m >= 1."""
     ox, oy = square.origin
     h = square.side / m
     # inside the square the offsets are >= 0, so truncation is the floor
@@ -419,14 +441,19 @@ def sample_points(d: GridDensity, n: int, seed: RandomSeed) -> PointSet:
     n = _require_count("n", n)
     rng = seed.generator()
     m = d.m
-    probs = d.cells / (m * m)
-    ids = rng.choice(m * m, size=n, p=probs)
+    # the draw of rng.choice(m * m, size=n, p=cells / m**2), whose checks of p GridDensity makes
+    cdf = np.cumsum(d.cells / (m * m))
+    cdf /= cdf[-1]
+    ids = cdf.searchsorted(rng.random(n), side="right")
     offsets = rng.random((n, 2))
     h = d.square.side / m
     rows, cols = np.divmod(ids, m)
     xs = d.square.origin[0] + (cols + offsets[:, 0]) * h
     ys = d.square.origin[1] + (rows + offsets[:, 1]) * h
-    return PointSet(np.column_stack([xs, ys]), d.square)
+    coords = np.column_stack([xs, ys])  # finite: drawn from a checked density
+    if not _inside(coords, d.square):  # rounding past the top or right edge
+        raise ValueError("all points must lie inside the bounding square")
+    return PointSet._of(coords, d.square)
 
 
 def latency_growth_constant(d: GridDensity) -> float:

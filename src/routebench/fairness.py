@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GridDensity, PointSet, RandomSeed, Route, Square, cell_ids, sample_points
+from .core import GridDensity, PointSet, RandomSeed, Route, Square, _cell_ids, cell_ids, sample_points
 from .core import _group_by_cell, _path_length, _require_count, _require_finite, _require_int, _square_from_json
 from .errors import InfeasibleError
 from .ktsp import KtspResult, ktsp_grid_scheme, ktsp_nonuniform_scheme
@@ -311,7 +311,7 @@ def fair_ktsp_sample(
     sub = ps.subset(members, region)
     inner = ktsp_grid_scheme(sub, k)
     path = members[np.array(inner.route.order, dtype=np.intp)]
-    route = Route(tuple(path.tolist()), closed=False)
+    route = Route._of(tuple(path.tolist()), closed=False)
 
     # each served point draws its label from its cell's shares with one
     # uniform, as rng.choice(populations, p=shares) would: the first label
@@ -396,7 +396,7 @@ def geographic_service_map(
         ps = sample_points(d, n, trial_seed)
         rng = trial_seed.child("scheme").generator()
         chosen = np.asarray(list(scheme(ps, d, k, rng)), dtype=np.int64)
-        ids = cell_ids(ps.coords, d.square, d.m)
+        ids = _cell_ids(ps.coords, d.square, d.m)  # ps was sampled from d
         totals += np.bincount(ids, minlength=m2)
         served += np.bincount(ids[chosen], minlength=m2)
 

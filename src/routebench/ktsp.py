@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridDensity, PointSet, Route, _path_length, cell_ids, route_length
+from .core import GridDensity, PointSet, Route, _cell_ids, _path_length, route_length
 from .core import _require_count, _require_finite, _require_int
 from .tsp import _distance_matrix, _held_karp, _layers, _path_to, _require_budget, strip_two_opt
 
@@ -84,7 +84,7 @@ def ktsp_grid_scheme(ps: PointSet, k: int) -> KtspResult:
     while True:
         alpha += 1
         m = _grid_resolution(alpha, k, n, area)
-        ids = cell_ids(ps.coords, ps.square, m)
+        ids = _cell_ids(ps.coords, ps.square, m)  # ps lies in its square; m >= 1 is an int
         # a cell holds >= k points where k equal ids sit in a row once sorted;
         # the first such run is the lowest crowded cell
         srt = np.sort(ids)
@@ -103,7 +103,7 @@ def ktsp_grid_scheme(ps: PointSet, k: int) -> KtspResult:
     sub = ps.subset(chosen, ps.square.cell(m, cell))
     tour = strip_two_opt(sub)
     path = chosen[_open_at_longest_edge(np.array(tour.route.order, dtype=np.intp), sub.coords)]
-    route = Route(tuple(path.tolist()), closed=False)
+    route = Route._of(tuple(path.tolist()), closed=False)
     return KtspResult(route, _path_length(ps.coords.take(path, axis=0), closed=False), alpha, cell)
 
 
@@ -120,14 +120,14 @@ def ktsp_nonuniform_scheme(ps: PointSet, d: GridDensity, k: int) -> KtspResult:
     if d.square != ps.square:
         raise ValueError("density and point set must share the bounding square")
     target = d.max_cell()
-    ids = cell_ids(ps.coords, d.square, d.m)
+    ids = _cell_ids(ps.coords, d.square, d.m)
     members = np.flatnonzero(ids == target)
     if members.size < k:
         return ktsp_grid_scheme(ps, k)
     sub = ps.subset(members, d.square.cell(d.m, target))
     inner = ktsp_grid_scheme(sub, k)
     path = members[np.array(inner.route.order, dtype=np.intp)]
-    route = Route(tuple(path.tolist()), closed=False)
+    route = Route._of(tuple(path.tolist()), closed=False)
     length = _path_length(ps.coords.take(path, axis=0), closed=False)
     return KtspResult(route, length, inner.alpha_used, inner.cell_chosen, density_cell=target)
 
@@ -154,14 +154,14 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
         mid = int(np.argmin(totals))
         a, *b = near[mid].tolist()  # at k = 2 mid < a: mid is the first row holding the least pair
         order = (mid, a) if k == 2 else (a, mid, *b)
-        return KtspResult(Route(order, closed=False), float(totals[mid]), 0, None)
+        return KtspResult(Route._of(order, closed=False), float(totals[mid]), 0, None)
 
     cost = _held_karp(dist, np.zeros(n), k)
     # among ties the lowest mask, then the highest last point: of a path and
     # its reverse at equal cost, the one starting at the lower index
     flat = int(np.argmin(cost[k].T[:, ::-1]))
     order = _path_to(cost, dist, int(_layers(n)[k][flat // n]), n - 1 - flat % n)
-    route = Route(tuple(order), closed=False)
+    route = Route._of(tuple(order), closed=False)
     return KtspResult(route, route_length(route, ps), 0, None)
 
 

@@ -21,10 +21,10 @@ from .core import (
     Point,
     PointSet,
     Route,
+    _cell_ids,
     _group_by_cell,
     _require_count,
     _require_finite,
-    cell_ids,
     latency_growth_constant,
     total_latency,
 )
@@ -104,10 +104,10 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
         _require_finite(depot_x=depot[0], depot_y=depot[1])
     n = len(ps)
     if n == 0:
-        return TrpResult(Route((), closed=False), 0.0)
+        return TrpResult(Route._of((), closed=False), 0.0)
 
     m = d.m
-    ids = cell_ids(ps.coords, d.square, m)
+    ids = _cell_ids(ps.coords, d.square, m)
     # decreasing density, lowest index first among ties; zero-density cells
     # holding stray points are served last under the same rule
     priority = np.lexsort((np.arange(m * m), -d.cells))
@@ -132,7 +132,7 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
         last_positions.append(len(order) - 1)
         exit_pos = ps.coords[order[-1]]
 
-    route = Route(tuple(order), closed=False)
+    route = Route._of(tuple(order), closed=False)
     pts = ps.coords.take(np.array(order, dtype=np.intp), axis=0)
     steps = np.hypot(*(np.diff(pts, axis=0).T)) if n > 1 else np.zeros(0)
     prefix = np.concatenate([[0.0], np.cumsum(steps)])
@@ -156,12 +156,12 @@ def trp_exact(ps: PointSet) -> TrpResult:
     n = len(ps)
     _require_budget("trp_exact", n, n, n)
     if n == 0:
-        return TrpResult(Route((), closed=False), 0.0)
+        return TrpResult(Route._of((), closed=False), 0.0)
 
     # the edge that grows a path to s points delays the n - s + 1 points after it
     dist, weights = _distance_matrix(ps), n + 1 - np.arange(n + 1)
     cost = _held_karp(dist, np.zeros(n), n, weights)
-    route = Route(tuple(_path_to(cost, dist, (1 << n) - 1, int(np.argmin(cost[n][:, 0])), weights)), closed=False)
+    route = Route._of(tuple(_path_to(cost, dist, (1 << n) - 1, int(np.argmin(cost[n][:, 0])), weights)), closed=False)
     return TrpResult(route, total_latency(route, ps))
 
 

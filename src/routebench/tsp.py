@@ -63,15 +63,13 @@ def strip_tour(ps: PointSet) -> TspResult:
     n = len(ps)
     if n == 0:
         raise ValueError("strip tour of an empty point set is undefined")
-    if n == 1:
-        return TspResult(Route((0,), closed=True), 0.0, "strip")
     strips = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     h = ps.square.side / strips
     ys = ps.coords[:, 1] - ps.square.origin[1]
     strip = np.minimum((ys / h).astype(np.int64), strips - 1)  # ys >= 0: truncation is the floor
     xs = np.where(strip % 2 == 0, ps.coords[:, 0], -ps.coords[:, 0])
     order = np.lexsort((xs, strip))
-    route = Route(tuple(order.tolist()), closed=True)
+    route = Route._of(tuple(order.tolist()), closed=True)
     length = _path_length(ps.coords.take(order, axis=0), closed=True)
     assert length <= (2.0 * math.sqrt(n) + 4.0) * ps.square.side + 1e-9
     return TspResult(route, length, "strip")
@@ -387,7 +385,7 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
         return TspResult(start, start_length, "strip+2opt")
     k = pos[0]
     tour = tour[k:] + tour[:k]
-    route = Route(tuple(map(order.__getitem__, tour)), closed=True)
+    route = Route._of(tuple(map(order.__getitem__, tour)), closed=True)
     length = _path_length(coords.take(tour, axis=0), closed=True)
     if length > start_length:  # rounding only: every move shortens the tour by more than eps
         route, length = start, start_length
@@ -531,11 +529,11 @@ def tsp_exact(ps: PointSet) -> TspResult:
         raise ValueError("exact tour of an empty point set is undefined")
     _require_budget("tsp_exact", n, n - 1, n - 1)
     if n == 1:  # the program below needs a point besides the anchor
-        return TspResult(Route((0,), closed=True), 0.0, "exact")
+        return TspResult(Route._of((0,), closed=True), 0.0, "exact")
 
     dist = _distance_matrix(ps)
     cost = _held_karp(dist[1:, 1:], dist[0, 1:], n - 1)
     last = int(np.argmin(cost[n - 1][:, 0] + dist[1:, 0]))
     order = (0,) + tuple(v + 1 for v in _path_to(cost, dist[1:, 1:], (1 << (n - 1)) - 1, last))
-    route = Route(order, closed=True)
+    route = Route._of(order, closed=True)
     return TspResult(route, route_length(route, ps), "exact")

@@ -156,6 +156,39 @@ class TestSampling:
         c = sample_points(d, 500, RandomSeed(11, 4))
         assert np.array_equal(a.coords, b.coords)
         assert not np.array_equal(a.coords, c.coords)
+        # each sample owns a read-only array
+        assert not a.coords.flags.writeable and not np.shares_memory(a.coords, b.coords)
+        assert not np.shares_memory(a.coords, d.cells)
+
+        class Ones:  # a stream of 1.0 puts points past the top and right edges, as rounding could
+            def generator(self):
+                return self
+
+            def random(self, size):
+                return np.ones(size)
+
+        with pytest.raises(ValueError, match="inside"):
+            sample_points(d, 5, Ones())
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_cell_draw_is_generator_choice(self, m):
+        # the reference draws cells with Generator.choice, which sample_points replaced
+        def by_choice(d, n, seed):
+            rng = seed.generator()
+            ids = rng.choice(d.m * d.m, size=n, p=d.cells / d.m**2)
+            offsets = rng.random((n, 2))
+            h = d.square.side / d.m
+            rows, cols = np.divmod(ids, d.m)
+            xs = d.square.origin[0] + (cols + offsets[:, 0]) * h
+            ys = d.square.origin[1] + (rows + offsets[:, 1]) * h
+            return np.column_stack([xs, ys])
+
+        raw = np.random.default_rng(m).random(m * m)
+        raw[1::3] = 0.0  # zero cells
+        for d in (GridDensity.uniform(m), GridDensity.from_raw(m, raw, Square((-3.5, 2.25), 7.0))):
+            for n in (0, 1, 2, 17, 2000):
+                for seed in (RandomSeed(0), RandomSeed(5, 3), RandomSeed(2**64 - 1, 2**63)):
+                    assert sample_points(d, n, seed).coords.tobytes() == by_choice(d, n, seed).tobytes()
 
     def test_empty_sample(self):
         d = GridDensity.uniform(2)
@@ -257,6 +290,15 @@ class TestBucketCounts:
         assert ps.subset([0], Square((0.0, 0.0), 0.5)).coords.tolist() == [[0.2, 0.2]]
         with pytest.raises(ValueError, match="inside"):
             ps.subset([1], Square((0.0, 0.0), 0.5))
+        # a subset owns a read-only copy of its points
+        for sub in (ps.subset([0, 1]), ps.subset([1], Square((0.5, 0.0), 0.5)), ps.subset([])):
+            assert not sub.coords.flags.writeable and not np.shares_memory(sub.coords, ps.coords)
+        # within 1e-9 of the square's scale a point is moved onto its edge; beyond, it is outside
+        assert ps.subset([0], Square((0.0, 0.0), 0.2 - 1e-12)).coords.tolist() == [[0.2 - 1e-12, 0.2 - 1e-12]]
+        with pytest.raises(ValueError, match="inside"):
+            ps.subset([0], Square((0.0, 0.0), 0.2 - 1e-9))
+        with pytest.raises(ValueError, match="shape"):
+            ps.subset(0)
 
 
 class TestLatencyGrowthConstant:

@@ -3,12 +3,15 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routebench import (
+    FairnessMix,
     GridDensity,
     PointSet,
     PopulationGridDensity,
@@ -16,9 +19,11 @@ from routebench import (
     Route,
     Square,
     UNIT_SQUARE,
+    fair_ktsp_sample,
     fairness_lp,
     ktsp_exact,
     ktsp_grid_scheme,
+    ktsp_nonuniform_scheme,
     route_length,
     sample_points,
     strip_tour,
@@ -77,6 +82,66 @@ class TestRouteContract:
         mixed[at] = data.draw(st.sampled_from([float, np.float64]))(mixed[at])
         with pytest.raises(ValueError):
             Route(tuple(mixed), closed=False)
+
+
+def assert_checked(route: Route, n: int, k: int | None = None) -> None:
+    """``route`` is what the checked constructor makes of it, of Python
+    ints: a permutation of range(n), or k distinct indices below n."""
+    assert Route(route.order, route.closed) == route
+    assert all(type(i) is int for i in route.order)
+    if k is None:
+        assert sorted(route.order) == list(range(n))
+    else:
+        assert len(set(route.order)) == len(route.order) == k and all(0 <= i < n for i in route.order)
+
+
+class TestLibraryRoutes:
+    """Routes the library builds skip the checks of ``Route``; each of them
+    would pass those checks."""
+
+    @PROPERTY
+    @given(squares, st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=60), st.data())
+    def test_tours_are_permutations(self, square, fracs, data):
+        ps = PointSet(points_in(square, fracs), square)
+        n = len(ps)
+        assert_checked(strip_tour(ps).route, n)
+        start = Route(tuple(data.draw(st.permutations(range(n)))), closed=True)
+        assert_checked(two_opt(ps, start).route, n)
+        m = data.draw(st.integers(1, 4))
+        assert_checked(trp_apriori_scheme(ps, GridDensity.uniform(m, square)).route, n)
+        if n <= 9:
+            assert_checked(tsp_exact(ps).route, n)
+            assert_checked(trp_exact(ps).route, n)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(squares, st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=2, max_size=60), st.data())
+    def test_paths_are_k_subsets(self, square, fracs, data):
+        ps = PointSet(points_in(square, fracs), square)
+        n = len(ps)
+        k = data.draw(st.integers(2, n))
+        m = data.draw(st.integers(1, 4))
+        raw = np.array(data.draw(st.lists(st.integers(0, 9), min_size=m * m, max_size=m * m)), dtype=np.float64) + 0.5
+        d = GridDensity.from_raw(m, raw, square)
+        assert_checked(ktsp_grid_scheme(ps, k).route, n, k)
+        assert_checked(ktsp_nonuniform_scheme(ps, d, k).route, n, k)
+        pop = PopulationGridDensity(m, d.cells[None, :], square)
+        mix = FairnessMix(raw / raw.sum(), tuple(range(m * m)), 0.0, 0.0)
+        seed = RandomSeed(data.draw(st.integers(0, 2**64 - 1)))
+        assert_checked(fair_ktsp_sample(pop, mix, ps, k, seed).route, n, k)
+        if n <= 9:
+            assert_checked(ktsp_exact(ps, k).route, n, k)
+
+
+class TestStripBound:
+    @PROPERTY
+    @given(squares, fractions, st.integers(1, 500), st.integers(0, 2**32 - 1))
+    def test_length_within_strip_bound(self, square, fracs, uniform, seed):
+        # drawn points plus 1-500 uniform ones; the assert inside
+        # strip_tour says the same, but python -O drops it
+        u = np.concatenate([np.array(fracs).reshape(-1, 2), np.random.default_rng(seed).random((uniform, 2))])
+        n = len(u)
+        length = strip_tour(PointSet(points_in(square, u), square)).length
+        assert length <= (2 * math.sqrt(n) + 4) * square.side + slack(square)
 
 
 class TestCellIds:
