@@ -62,7 +62,8 @@ def _cmd_sample(args) -> int:
 def _cmd_tsp(args) -> int:
     solve = {"strip": strip_tour, "2opt": strip_two_opt, "exact": tsp_exact}[args.method]
     result = solve(load_points_csv(args.points))
-    _emit({"length": result.length, "method": result.method, "order": list(result.route.order)}, args)
+    out = {"length": result.length, "method": result.method, "order": list(result.route.order)}
+    _emit({**out, "moves": result.moves, "cap_hit": result.cap_hit}, args)  # 0 and false but for 2opt
     return 0
 
 

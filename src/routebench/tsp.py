@@ -25,10 +25,8 @@ __all__ = ["TspResult", "strip_tour", "two_opt", "strip_two_opt", "tsp_exact"]
 # Bytes an exact oracle may hold; _require_budget derives each one's size cap from it.
 EXACT_BUDGET = 32 << 20
 
-# Candidate neighbours per point, and the longest segment an Or-opt move
-# relocates, in ``two_opt``.
+# Candidate neighbours per point in ``two_opt``.
 NEIGHBORS = 8
-OR_OPT_MAX = 3
 # Candidate lists: up to _SORT_MAX points, sort rows of the distance matrix
 # in Python; above, at most _KNN_BLOCK squared distances per numpy block.
 _SORT_MAX = 16
@@ -152,9 +150,10 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
 
     Neighbours run nearest first, ties to the lower index.  Up to
     ``_SORT_MAX`` points, rows of the distance matrix are sorted in Python.
-    Above it a grid search settles most rows, and numpy sorts the others
-    against all points, in blocks of at most ``_KNN_BLOCK`` distances, so
-    memory is O(t * k) plus one bounded block.
+    Above it a grid search settles most rows.  For each other row numpy
+    finds the k-th distance to all points by partition and sorts only the
+    entries at or inside it, in blocks of at most ``_KNN_BLOCK`` distances,
+    so memory is O(t * k) plus one bounded block.
     """
     t = len(pts)
     x, y = pts[:, 0], pts[:, 1]
@@ -171,11 +170,16 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
     rows = max(1, _KNN_BLOCK // t)
     for lo in range(0, len(todo), rows):
         part = todo[lo : lo + rows]
-        r = np.arange(len(part))[:, None]
         d2 = (x[part, None] - x) ** 2 + (y[part, None] - y) ** 2
-        d2[r[:, 0], part] = np.inf
-        near = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        nbr[part], d2s[part] = near, d2[r, near]
+        d2[np.arange(len(part)), part] = np.inf
+        # the entries at or inside each row's k-th distance, by (row, d2, index);
+        # nonzero lists them row by row, so row i's run starts at first[i]
+        r, j = np.nonzero(d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1, None])
+        near = d2[r, j]
+        rank = np.lexsort((j, near, r))
+        first = np.searchsorted(r, np.arange(len(part)))
+        sel = rank[first[:, None] + np.arange(k)]
+        nbr[part], d2s[part] = j[sel], near[sel]
     return nbr, list(map(list, map(zip, nbr.tolist(), np.sqrt(d2s).tolist())))
 
 
@@ -229,6 +233,37 @@ def _move_segment(tour: list[int], pos: list[int], p: int, s1: int, sk: int, n: 
         _move2(tour, pos, p, u, n, sk)  # p n .. u sk .. s1 w
     if (u == c) != (sk == a):
         _move2(tour, pos, u, sk, s1, w)  # p n .. u s1 .. sk w
+
+
+def _place(
+    tour: list[int], pos: list[int], pt: list[tuple[float, float]], near: list[tuple[int, float]],
+    gain: float, eps: float, nxt: int, prv: int, p: int, seg: tuple[int, ...], n: int,
+) -> tuple[int, ...] | None:
+    """Make the first Or-opt move of ``two_opt`` that puts the segment
+    ``seg``, which runs in direction ``nxt`` from after p to before n, into
+    an edge (c, e) at a candidate c of its first point, with that point next
+    to c; e is c's tour neighbour in direction ``nxt``, then ``prv``.
+
+    ``gain`` is what taking the segment out saves.  Returns the endpoints of
+    the changed edges, or None if no candidate closer than ``gain`` pays.
+    """
+    dist = math.dist
+    y = seg[-1]
+    py = pt[y]
+    for c, dac in near:
+        if dac >= gain:
+            break
+        if c in seg:
+            continue
+        ic = pos[c]
+        pc = pt[c]
+        for e in (tour[ic + nxt], tour[ic + prv]):
+            if e not in seg:
+                pe = pt[e]
+                if dac + dist(py, pe) - dist(pc, pe) - gain < -eps:
+                    _move_segment(tour, pos, p, seg[0], y, n, c, e)
+                    return p, seg[0], y, n, c, e
+    return None
 
 
 def _stale(tour: list[int], pos: list[int], nbr: np.ndarray, examined: list[int], touched: list[int]) -> list[int]:
@@ -290,9 +325,9 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
     cap = 50 * t
     # at least three points stay outside a segment; on four points every
     # segment move is also a 2-opt move
-    max_seg = min(OR_OPT_MAX, t - 3) if t > 4 else 0
-    # tour[i + fwd] and tour[i + bwd] follow and precede position i, without wrapping
-    fwd, bwd = 1 - t, -1
+    max_seg = min(3, t - 3) if t > 4 else 0
+    # tour[i + fwd] and tour[i - 1] follow and precede position i, without wrapping
+    fwd = 1 - t
 
     tour = list(range(t))
     pos = list(range(t))
@@ -317,61 +352,66 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
         pa = pt[a]
         ia = pos[a]
         near = cands[a]
-        ends = tour[ia + fwd], tour[ia + bwd]
-        gaps = dist(pa, pt[ends[0]]), dist(pa, pt[ends[1]])
+        n1, p1 = tour[ia + fwd], tour[ia - 1]  # a's tour neighbours
+        pn, pp = pt[n1], pt[p1]
+        gn, gp = dist(pa, pn), dist(pa, pp)
         changed = None
-        for nxt, b, g in zip((fwd, bwd), ends, gaps):
-            # 2-opt: (a, b), (c, d) -> (a, c), (b, d), where b follows a and d follows c
-            pb = pt[b]
-            for c, dac in near:
-                if dac >= g:
-                    break
-                d = tour[pos[c] + nxt]
-                if c != b and d != a and dac + dist(pb, pt[d]) - g - dist(pt[c], pt[d]) < -eps:
-                    _move2(tour, pos, a, b, c, d)
-                    changed = (a, b, c, d)
-                    break
-            if changed:
+        # 2-opt: (a, b), (c, d) -> (a, c), (b, d), where b follows a and d
+        # follows c; first going forward (b = n1), then backward (b = p1)
+        for c, dac in near:
+            if dac >= gn:
                 break
-        if not changed:
-            nearest = near[0][1]
-            for nxt, prv, p, dpa in ((fwd, bwd, ends[1], gaps[1]), (bwd, fwd, ends[0], gaps[0])):
-                # Or-opt: the segment a .. y follows p and precedes n; it goes
-                # between c and its tour neighbour e, with a next to c
-                pp = pt[p]
-                seg = []
-                n = a
-                for _ in range(max_seg):
-                    y = n
-                    seg.append(y)
-                    n = tour[pos[y] + nxt]
-                    py = pt[y]
-                    if y != a:
-                        gain = dpa + dist(py, pt[n]) - dist(pp, pt[n])
-                    elif nxt == fwd:  # a alone: n is ends[0], at distance gaps[0]
-                        gain = dpa + gaps[0] - dist(pp, pt[n])
-                    else:  # a alone was tried going forward
-                        continue
-                    if gain <= nearest:  # no candidate is closer than the gain
-                        continue
-                    for c, dac in near:
-                        if dac >= gain:
-                            break
-                        if c in seg:
-                            continue
-                        ic = pos[c]
-                        pc = pt[c]
-                        for e in (tour[ic + nxt], tour[ic + prv]):
-                            if e not in seg and dac + dist(py, pt[e]) - dist(pc, pt[e]) - gain < -eps:
-                                _move_segment(tour, pos, p, a, y, n, c, e)
-                                changed = (p, a, y, n, c, e)
-                                break
-                        if changed:
-                            break
-                    if changed:
-                        break
-                if changed:
+            d = tour[pos[c] + fwd]
+            if c != n1 and d != a:
+                pd = pt[d]
+                if dac + dist(pn, pd) - gn - dist(pt[c], pd) < -eps:
+                    _move2(tour, pos, a, n1, c, d)
+                    changed = (a, n1, c, d)
                     break
+        if not changed:
+            for c, dac in near:
+                if dac >= gp:
+                    break
+                d = tour[pos[c] - 1]
+                if c != p1 and d != a:
+                    pd = pt[d]
+                    if dac + dist(pp, pd) - gp - dist(pt[c], pd) < -eps:
+                        _move2(tour, pos, a, p1, c, d)
+                        changed = (a, p1, c, d)
+                        break
+        if not changed and max_seg:
+            # Or-opt: the segment a .. y follows p and precedes n.  Going
+            # forward it is a, n1, f2 after p1; going backward a, p1, b2 after
+            # n1 (a alone was tried going forward).  Only a gain above the
+            # nearest candidate's distance can pay for a move.
+            nearest = near[0][1]
+            gain = gp + gn - dist(pp, pn)
+            if gain > nearest:
+                changed = _place(tour, pos, pt, near, gain, eps, fwd, -1, p1, (a,), n1)
+            if not changed:
+                f2 = tour[ia + fwd + 1]
+                pf2 = pt[f2]
+                gain = gp + dist(pn, pf2) - dist(pp, pf2)
+                if gain > nearest:
+                    changed = _place(tour, pos, pt, near, gain, eps, fwd, -1, p1, (a, n1), f2)
+            if not changed and max_seg == 3:
+                f3 = tour[ia + fwd + 2]
+                pf3 = pt[f3]
+                gain = gp + dist(pf2, pf3) - dist(pp, pf3)
+                if gain > nearest:
+                    changed = _place(tour, pos, pt, near, gain, eps, fwd, -1, p1, (a, n1, f2), f3)
+            if not changed:
+                b2 = tour[ia - 2]
+                pb2 = pt[b2]
+                gain = gn + dist(pp, pb2) - dist(pn, pb2)
+                if gain > nearest:
+                    changed = _place(tour, pos, pt, near, gain, eps, -1, fwd, n1, (a, p1), b2)
+            if not changed and max_seg == 3:
+                b3 = tour[ia - 3]
+                pb3 = pt[b3]
+                gain = gn + dist(pb2, pb3) - dist(pn, pb3)
+                if gain > nearest:
+                    changed = _place(tour, pos, pt, near, gain, eps, -1, fwd, n1, (a, p1, b2), b3)
         if changed:
             moves += 1
             for v in changed:

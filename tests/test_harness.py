@@ -16,9 +16,11 @@ from routebench import (
     RandomSeed,
     default_config,
     fit_loglog_slope,
+    load_points_csv,
     run_experiment,
     sample_points,
     save_points_csv,
+    strip_two_opt,
 )
 from routebench.cli import main
 from routebench.core import stable_stream
@@ -327,6 +329,21 @@ class TestCli:
         assert main(["trp", "--points", str(points), "--density", str(density), "--out", str(out)]) == 0
         result = json.loads(out.read_text())
         assert result["n"] == 30 and len(result["order"]) == 30
+
+    def test_tsp_reports_moves(self, tmp_path):
+        # the 2-opt polish reports its moves and cap; the strip tour and the
+        # exact oracle report 0 and false
+        points = tmp_path / "points.csv"
+        save_points_csv(sample_points(GridDensity.uniform(1), 16, RandomSeed(13)), str(points))
+        polish = strip_two_opt(load_points_csv(str(points)))
+        assert polish.moves > 0
+        for method, moves in (("2opt", polish.moves), ("strip", 0), ("exact", 0)):
+            out = tmp_path / f"{method}.json"
+            assert main(["tsp", "--points", str(points), "--method", method, "--out", str(out)]) == 0
+            result = json.loads(out.read_text())
+            assert (result["moves"], result["cap_hit"]) == (moves, False)
+            if method == "2opt":
+                assert result["order"] == list(polish.route.order)
 
     def test_exact_tour_at_the_budget_cap(self, tmp_path):
         # tsp_exact takes 18 points under its memory budget; above, exit 1

@@ -317,6 +317,7 @@ class TestTwoOptKernel:
 
     def test_candidate_lists_match_brute_force(self):
         rng = np.random.default_rng(14)
+        cases = []
         for trial in range(186):
             # the lattice and cluster kinds at this size take the dense fallback
             t = int(rng.integers(4, 400) if trial < 150 else rng.integers(400, 1001))
@@ -333,6 +334,11 @@ class TestTwoOptKernel:
                 pts = np.clip(rng.normal(0.5, 0.15, (t, 2)), 0.0, 1.0)
             else:  # density falling across the square
                 pts = rng.random((t, 2)) ** [4.0, 1.0]
+            cases.append(pts)
+        # 2000 points on 36 lattice sites: every row takes the dense fallback
+        cases.append(np.round(rng.random((2000, 2)) * 5) / 5)
+        for pts in cases:
+            t = len(pts)
             k = min(NEIGHBORS, t - 1)
             nbr, cands = _neighbor_lists(pts, k)
             d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
@@ -383,6 +389,29 @@ TWO_OPT_GOLDEN = {
 }
 
 
+def sweep_instances():
+    """Strip and random starts on uniform, lattice and clustered points, for
+    every t from 4 to 40 and t = 60, 150, 500: small tours put the point
+    being examined, and the segments an Or-opt move takes, at both ends of
+    the tour list.  The lattices, of spacing 1 / side and 1 / (side - 1),
+    tie distances that round differently, so a gain summed in another order
+    can scan other candidates."""
+    for t in [*range(4, 41), 60, 150, 500]:
+        rng = np.random.default_rng(t)
+        uniform = sample_points(GridDensity.uniform(1), t, RandomSeed(630, t))
+        side = math.isqrt(t - 1) + 1
+        lattices = [PointSet.from_points([(i % side / s, i // side / s) for i in range(t)]) for s in (side, side - 1)]
+        clustered = PointSet(np.vstack([rng.random((t // 2, 2)) * 0.01, rng.random((t - t // 2, 2))]))
+        for ps in (uniform, *lattices, clustered):
+            yield ps, strip_tour(ps).route
+            yield ps, Route(tuple(rng.permutation(t)), closed=True)
+
+
+# sha256 over the sweep_instances results' (order, length.hex(), moves,
+# cap_hit), recorded before the search loop was unrolled
+TWO_OPT_SWEEP_SHA256 = "6f31122f2bb05ae6109bd595b378b5fd9f5dbbd9c412ae499d57db083c3d9b47"
+
+
 class TestTwoOptGolden:
     @pytest.mark.parametrize("name", list(TWO_OPT_GOLDEN))
     def test_bit_identical(self, name):
@@ -390,6 +419,13 @@ class TestTwoOptGolden:
         result = two_opt(ps, start)
         digest = hashlib.sha256(",".join(map(str, result.route.order)).encode()).hexdigest()
         assert (digest, result.length.hex(), result.moves, result.cap_hit) == TWO_OPT_GOLDEN[name]
+
+    def test_sweep_bitwise(self):
+        digest = hashlib.sha256()
+        for ps, start in sweep_instances():
+            r = two_opt(ps, start)
+            digest.update(repr((r.route.order, r.length.hex(), r.moves, r.cap_hit)).encode())
+        assert digest.hexdigest() == TWO_OPT_SWEEP_SHA256
 
 
 class TestExactTour:
