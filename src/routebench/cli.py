@@ -17,14 +17,9 @@ import json
 import sys
 
 from . import __version__
-from .core import RandomSeed, load_points_csv, sample_points, save_points_csv
-from .fairness import (
-    PopulationGridDensity,
-    deterministic_fairness_ratio,
-    fair_ktsp_sample,
-    fairness_lp,
-)
-from .harness import EXPERIMENT_KINDS, ExperimentConfig, default_config, resolve_density, run_experiment
+from .core import PopulationGridDensity, RandomSeed, density_from_json, load_points_csv, sample_points, save_points_csv
+from .fairness import deterministic_fairness_ratio, fair_ktsp_sample, fairness_lp
+from .harness import EXPERIMENT_KINDS, ExperimentConfig, default_config, run_experiment
 from .ktsp import ktsp_exact, ktsp_grid_scheme, ktsp_nonuniform_scheme
 from .logistics import fleet_size_trp, sdd_dispatch_trp, sdd_dispatch_tsp
 from .trp import trp_apriori_scheme, trp_exact
@@ -33,9 +28,13 @@ from .tsp import strip_tour, strip_two_opt, tsp_exact
 
 def _load_density(path: str):
     with open(path) as fh:
-        spec = json.load(fh)
-    spec.setdefault("kind", "population" if "layers" in spec else "grid")
-    return resolve_density(spec)
+        return density_from_json(fh.read())
+
+
+def _load_grid_density(path: str | None):
+    """The density of a JSON file, the total of a population one; None without a path."""
+    density = _load_density(path) if path else None
+    return density.total if isinstance(density, PopulationGridDensity) else density
 
 
 def _emit(obj: dict, args) -> None:
@@ -48,10 +47,7 @@ def _emit(obj: dict, args) -> None:
 
 
 def _cmd_sample(args) -> int:
-    density = _load_density(args.density)
-    if isinstance(density, PopulationGridDensity):
-        density = density.total
-    ps = sample_points(density, args.n, RandomSeed(args.seed))
+    ps = sample_points(_load_grid_density(args.density), args.n, RandomSeed(args.seed))
     if args.format == "json":
         _emit({"points": [[float(x), float(y)] for x, y in ps.coords]}, args)
     else:
@@ -68,9 +64,7 @@ def _cmd_tsp(args) -> int:
 
 
 def _cmd_ktsp(args) -> int:
-    density = _load_density(args.density) if args.density else None
-    if density is not None and isinstance(density, PopulationGridDensity):
-        density = density.total
+    density = _load_grid_density(args.density)
     ps = load_points_csv(args.points, density.square if density is not None else None)
     if args.method == "grid":
         result = ktsp_grid_scheme(ps, args.k)
@@ -85,9 +79,7 @@ def _cmd_ktsp(args) -> int:
 
 
 def _cmd_trp(args) -> int:
-    density = _load_density(args.density) if args.density else None
-    if density is not None and isinstance(density, PopulationGridDensity):
-        density = density.total
+    density = _load_grid_density(args.density)
     ps = load_points_csv(args.points, density.square if density is not None else None)
     if args.method == "apriori":
         if density is None:

@@ -3,7 +3,9 @@
 Everything downstream (tour construction, subset routing, latency schemes,
 fairness mixtures) is built on the small set of value types defined here:
 points in a bounding square, visiting orders, piecewise-constant densities
-on an m x m grid, and reproducible random seeds.
+on an m x m grid (:class:`GridDensity`, and :class:`PopulationGridDensity`
+split by population) with the one reader and writer of their JSON specs,
+and reproducible random seeds.
 
 All types are immutable after construction and safe to share across
 threads or processes; randomness always flows through an explicit
@@ -29,6 +31,7 @@ __all__ = [
     "PointSet",
     "Route",
     "GridDensity",
+    "PopulationGridDensity",
     "RandomSeed",
     "BETA_TSP_BRACKET",
     "route_length",
@@ -387,6 +390,47 @@ class GridDensity:
         return int(np.argmax(self.cells))
 
 
+@dataclass(frozen=True, eq=False)
+class PopulationGridDensity:
+    """Per-population density layers summing cell-wise to a total density.
+
+    ``m`` follows :class:`GridDensity`: a whole number of at least 1,
+    stored as an int.
+    """
+
+    m: int
+    layers: np.ndarray  # (P, m*m), nonnegative
+    square: Square = UNIT_SQUARE
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", _require_count("grid resolution m", self.m, 1))
+        layers = np.asarray(self.layers, dtype=np.float64)
+        if layers.ndim != 2 or layers.shape[0] < 1 or layers.shape[1] != self.m * self.m:
+            raise ValueError(f"layers must have shape (P, {self.m * self.m}) with at least one population")
+        if not np.all(np.isfinite(layers)) or np.any(layers < 0):
+            raise ValueError("layer values must be finite and nonnegative")
+        total = layers.sum(axis=0)
+        if abs(total.mean() - 1.0) > 1e-9:
+            raise ValueError("layers must sum to a normalized total density")
+        layers = layers.copy()
+        layers.setflags(write=False)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_total", GridDensity(self.m, total, self.square))
+
+    @property
+    def populations(self) -> int:
+        return self.layers.shape[0]
+
+    @property
+    def total(self) -> GridDensity:
+        """The cell-wise sum of the layers, built once."""
+        return self._total
+
+    def population_shares(self) -> np.ndarray:
+        """Overall share of each population: the integral of its layer."""
+        return self.layers.sum(axis=1) / (self.m * self.m)
+
+
 def _inside(coords: np.ndarray, square: Square) -> bool:
     """Whether every row of the (n, 2) array ``coords`` lies in the closed
     square; False when a coordinate is NaN (min and max propagate it)."""
@@ -497,36 +541,62 @@ def load_points_csv(path, square: Square | None = None) -> PointSet:
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["x", "y"]:
             raise ValueError("point CSV must start with header 'x,y'")
-        pts = [(float(row[0]), float(row[1])) for row in reader if row]
-    if square is None:
-        if pts:
-            xs = [p[0] for p in pts]
-            ys = [p[1] for p in pts]
-            side = max(max(xs) - min(xs), max(ys) - min(ys))
-            square = Square((min(xs), min(ys)), side if side > 0 else 1.0)
-        else:
-            square = UNIT_SQUARE
+        pts = []
+        for row in filter(None, reader):  # blank lines are skipped
+            if len(row) < 2:
+                raise ValueError(f"point CSV line {reader.line_num} has fewer than two fields")
+            pts.append((float(row[0]), float(row[1])))
     arr = np.array(pts, dtype=np.float64).reshape(len(pts), 2)
-    return PointSet(arr, square)
+    if square is None and len(arr):
+        lo = arr.min(axis=0)
+        side = float((arr.max(axis=0) - lo).max())
+        square = Square((float(lo[0]), float(lo[1])), side if side > 0 else 1.0)
+    return PointSet(arr, square or UNIT_SQUARE)
 
 
-def density_to_json(d: GridDensity) -> dict:
-    return {
+def density_to_json(d: GridDensity | PopulationGridDensity) -> dict:
+    """The JSON spec of a density, read back by :func:`density_from_json`;
+    a population density adds its ``layers`` to its total's ``cells``."""
+    pop = isinstance(d, PopulationGridDensity)
+    obj = {
         "m": d.m,
-        "cells": [float(v) for v in d.cells],
-        "square": {"origin": [d.square.origin[0], d.square.origin[1]], "side": d.square.side},
+        "cells": (d.total if pop else d).cells.tolist(),
+        "square": {"origin": list(d.square.origin), "side": d.square.side},
     }
+    return obj | {"layers": d.layers.tolist()} if pop else obj
 
 
-def _square_from_json(obj: dict) -> Square:
-    """The ``{"origin", "side"}`` square of a density JSON object; unit when absent."""
-    sq = obj.get("square")
-    if sq is None:
-        return UNIT_SQUARE
-    return Square((float(sq["origin"][0]), float(sq["origin"][1])), float(sq["side"]))
+def _spec_key(spec: dict, path: str):
+    """The value at the dotted ``path`` of a spec; ValueError naming it when absent."""
+    try:
+        for key in path.split("."):
+            spec = spec[key]
+        return spec
+    except (KeyError, TypeError):  # TypeError: not an object
+        raise ValueError(f"density spec lacks {path!r}") from None
 
 
-def density_from_json(obj: dict | str) -> GridDensity:
+def density_from_json(obj: dict | str) -> GridDensity | PopulationGridDensity:
+    """The density of a JSON spec (an object or its text); ValueError when a
+    key is missing or ``kind`` is unknown.
+
+    ``kind`` is ``"uniform"`` (``m``, default 1), ``"grid"`` (``m``, ``cells``)
+    or ``"population"`` (``m``, ``layers``); a spec without one is a
+    population density if it has ``layers``, else a grid density.
+    ``square`` (``origin``, ``side``) defaults to the unit square.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    return GridDensity(obj["m"], np.asarray(obj["cells"], dtype=np.float64), _square_from_json(obj))
+    if not isinstance(obj, dict):
+        raise ValueError(f"a density spec must be a JSON object, got {_brief(obj)}")
+    square = UNIT_SQUARE
+    if obj.get("square") is not None:
+        origin = tuple(map(float, _spec_key(obj, "square.origin")))  # Square unpacks two
+        square = Square(origin, float(_spec_key(obj, "square.side")))
+    kind = obj.get("kind", "population" if "layers" in obj else "grid")
+    if kind == "uniform":
+        return GridDensity.uniform(obj.get("m", 1), square)
+    if kind not in ("grid", "population"):
+        raise ValueError(f"unknown density spec kind {_brief(kind)}")
+    cls, key = (GridDensity, "cells") if kind == "grid" else (PopulationGridDensity, "layers")
+    return cls(_spec_key(obj, "m"), np.asarray(_spec_key(obj, key), dtype=np.float64), square)

@@ -12,6 +12,9 @@ rule on a dense tableau, with no size cap.  It returns the vertex Bland's
 rule reaches, a basic optimal solution, which keeps the guaranteed sparse
 support observable: at most P cells get positive probability under hard
 constraints, P + 1 under a tolerance.
+
+The population density these tools take, ``PopulationGridDensity``, is
+defined in :mod:`routebench.core` next to ``GridDensity`` and imported here.
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GridDensity, PointSet, RandomSeed, Route, Square, _cell_ids, cell_ids, sample_points
-from .core import _group_by_cell, _path_length, _require_count, _require_finite, _require_int, _square_from_json
+from .core import GridDensity, PointSet, PopulationGridDensity, RandomSeed, Route, Square, cell_ids, sample_points
+from .core import _cell_ids, _group_by_cell, _path_length, _require_count, _require_finite, _require_int
 from .errors import InfeasibleError
 from .ktsp import KtspResult, ktsp_grid_scheme, ktsp_nonuniform_scheme
 
 __all__ = [
-    "PopulationGridDensity",
     "FairnessMix",
     "FairKtspResult",
     "ServiceMap",
@@ -39,62 +41,6 @@ __all__ = [
     "random_subset_scheme",
     "nonuniform_scheme_handle",
 ]
-
-@dataclass(frozen=True, eq=False)
-class PopulationGridDensity:
-    """Per-population density layers summing cell-wise to a total density.
-
-    ``m`` follows :class:`~routebench.core.GridDensity`: a whole number of
-    at least 1, stored as an int.
-    """
-
-    m: int
-    layers: np.ndarray  # (P, m*m), nonnegative
-    square: Square = Square((0.0, 0.0), 1.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _require_count("grid resolution m", self.m, 1))
-        layers = np.asarray(self.layers, dtype=np.float64)
-        if layers.ndim != 2 or layers.shape[1] != self.m * self.m:
-            raise ValueError(f"layers must have shape (P, {self.m * self.m})")
-        if layers.shape[0] < 1:
-            raise ValueError("at least one population layer is required")
-        if not np.all(np.isfinite(layers)) or np.any(layers < 0):
-            raise ValueError("layer values must be finite and nonnegative")
-        total = layers.sum(axis=0)
-        if abs(total.mean() - 1.0) > 1e-9:
-            raise ValueError("layers must sum to a normalized total density")
-        layers = layers.copy()
-        layers.setflags(write=False)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "_total", GridDensity(self.m, total, self.square))
-
-    @property
-    def populations(self) -> int:
-        return self.layers.shape[0]
-
-    @property
-    def total(self) -> GridDensity:
-        """The cell-wise sum of the layers, built once."""
-        return self._total
-
-    def population_shares(self) -> np.ndarray:
-        """Overall share of each population: the integral of its layer."""
-        return self.layers.sum(axis=1) / (self.m * self.m)
-
-    def to_json(self) -> dict:
-        total = self.total
-        return {
-            "m": self.m,
-            "cells": [float(v) for v in total.cells],
-            "square": {"origin": list(self.square.origin), "side": self.square.side},
-            "layers": [[float(v) for v in row] for row in self.layers],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PopulationGridDensity":
-        return cls(obj["m"], np.asarray(obj["layers"], dtype=np.float64), _square_from_json(obj))
-
 
 @dataclass(frozen=True, eq=False)
 class FairnessMix:

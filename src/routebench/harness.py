@@ -8,11 +8,12 @@ standard errors, log-log rate fits and pass/fail checks against the
 configured thresholds.
 
 Each experiment kind is one entry of ``_KINDS``: its trial function, its
-summary checks, its default thresholds and config, whether it takes a k
-grid, and optional steps that validate a config and that run once before
-the trials.  Adding a kind means adding one entry.  A config is checked
-against its entry when it is built, so an unknown threshold key or a k the
-kind cannot run raises ``ValueError`` there, not inside a worker.
+summary checks, its default thresholds and config (with a k grid if it
+takes one), the density type it samples, and optional steps that validate
+a config and that run once before the trials.  Adding a kind means adding
+one entry.  A config is checked against its entry when it is built, so an
+unknown threshold key, a k the kind cannot run or a density spec of the
+wrong type raises ``ValueError`` there, not inside a worker.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ import numpy as np
 
 from .core import (
     GridDensity,
+    PopulationGridDensity,
     RandomSeed,
     _require_count,
     _require_finite,
-    _square_from_json,
     density_from_json,
     sample_points,
     stable_stream,
 )
-from .fairness import FairnessMix, PopulationGridDensity, fair_ktsp_sample, fairness_lp
+from .fairness import FairnessMix, fair_ktsp_sample, fairness_lp
 from .ktsp import _exact_budget, ktsp_exact, ktsp_grid_scheme, ktsp_rate, ktsp_tail_bound
 from .trp import trp_apriori_scheme, trp_factor_check
 from .tsp import strip_tour
@@ -109,7 +110,8 @@ class ExperimentConfig:
     ``ValueError``; it is not truncated.  So does a negative count, a
     ``master_seed`` that does not fit in 64 bits, or an ``epsilon`` or
     target that is not a finite real (NaN, infinite, or an int beyond float
-    range).
+    range), or a ``density`` spec that does not parse or that the kind does
+    not sample (a population spec for ``fairness-audit``, a grid one else).
     """
 
     experiment: str
@@ -144,7 +146,10 @@ class ExperimentConfig:
             raise ValueError("n_grid must be nonempty and trials >= 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not kind.needs_k:
+        density = density_from_json(self.density)
+        if not isinstance(density, kind.density):
+            raise ValueError(f"{self.experiment} needs a {kind.density.__name__} spec, got a {type(density).__name__}")
+        if "k_grid" not in kind.defaults:
             if self.k_grid:
                 raise ValueError(f"{self.experiment} takes no k grid")
         elif not self.k_grid:
@@ -177,17 +182,6 @@ def default_config(kind: str, master_seed: int = 20240901, out_dir: str = "out",
     """Config with the documented default grids and thresholds per kind."""
     defaults = copy.deepcopy(_kind(kind).defaults)
     return ExperimentConfig(kind, master_seed=master_seed, out_dir=out_dir, workers=workers, **defaults)
-
-
-def resolve_density(spec: dict) -> GridDensity | PopulationGridDensity:
-    kind = spec.get("kind", "grid")
-    if kind == "uniform":
-        return GridDensity.uniform(spec.get("m", 1), _square_from_json(spec))
-    if kind == "grid":
-        return density_from_json(spec)
-    if kind == "population":
-        return PopulationGridDensity.from_json(spec)
-    raise ValueError(f"unknown density spec kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +299,6 @@ def _fairness_targets(cfg, pop) -> tuple[float, ...]:
 
 
 def _fairness_prepare(cfg, density) -> FairnessMix:
-    if not isinstance(density, PopulationGridDensity):
-        raise ValueError("fairness-audit needs a population density spec")
     return fairness_lp(density, cfg.k_grid[0], _fairness_targets(cfg, density), cfg.epsilon)
 
 
@@ -335,8 +327,8 @@ class _Kind:
     trial: Callable  # (density, n, k, seed, context) -> [(label suffix, value), ...]
     checks: Callable  # (cfg, density, stats, context, summary): appends fits and checks
     thresholds: dict  # default thresholds, also the only keys a config may set
-    defaults: dict  # ExperimentConfig fields of default_config
-    needs_k: bool = False
+    defaults: dict  # ExperimentConfig fields of default_config; a kind takes a k grid if they set one
+    density: type = GridDensity  # the density type its trials sample
     validate: Callable | None = None  # (cfg): ValueError for a config the kind cannot run
     prepare: Callable | None = None  # (cfg, density) -> context, once per run, passed to each trial
 
@@ -345,7 +337,6 @@ _KINDS: dict[str, _Kind] = {
     "ktsp-rate": _Kind(
         _ktsp_rate_trial, _ktsp_rate_checks, {"slope_tol": 0.10, "naive_factor": 0.8},
         dict(density={"kind": "uniform", "m": 1}, n_grid=(100, 200, 400, 800, 1600), trials=500, k_grid=(2, 3, 5)),
-        needs_k=True,
     ),
     "trp-rate": _Kind(
         _trp_rate_trial, _trp_rate_checks, {"slope_min": 1.4, "slope_max": 1.6},
@@ -356,7 +347,7 @@ _KINDS: dict[str, _Kind] = {
     "tail-dominance": _Kind(
         _tail_trial, _tail_checks, {"se_multiplier": 3.0},
         dict(density={"kind": "uniform", "m": 1}, n_grid=(50,), trials=10_000, k_grid=(2, 3)),
-        needs_k=True, validate=_tail_validate,
+        validate=_tail_validate,
     ),
     "fairness-audit": _Kind(
         _fairness_trial, _fairness_checks, {"se_multiplier": 3.0},
@@ -369,7 +360,7 @@ _KINDS: dict[str, _Kind] = {
             },
             n_grid=(400,), trials=10_000, k_grid=(4,), targets=(0.5, 0.5),
         ),
-        needs_k=True, validate=_fairness_validate, prepare=_fairness_prepare,
+        density=PopulationGridDensity, validate=_fairness_validate, prepare=_fairness_prepare,
     ),
     "trp-factor": _Kind(
         _trp_factor_trial, _trp_factor_checks, {"ratio_max": 2.5, "min_fraction": 0.95},
@@ -413,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     (experiment, n, k, trial), results are sorted before writing, and the
     worker count affects wall time only.
     """
-    density = resolve_density(cfg.density)
+    density = density_from_json(cfg.density)
     prepare = _KINDS[cfg.experiment].prepare
     context = prepare(cfg, density) if prepare is not None else None
 

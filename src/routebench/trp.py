@@ -139,7 +139,7 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
     depot_offset = 0.0
     if depot is not None:
         depot_offset = n * float(np.hypot(pts[0, 0] - depot.x, pts[0, 1] - depot.y))
-    latency = total_latency(route, ps) + depot_offset
+    latency = float(np.arange(n - 1, 0, -1.0) @ steps) + depot_offset  # total_latency of the route
     per_cell = tuple(prefix[last_positions].tolist())
     return TrpResult(route, latency, tuple(visited_cells), per_cell, depot_offset)
 

@@ -1,6 +1,7 @@
 """Core geometry, metrics, sampling, and density tests."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from routebench import (
     GridDensity,
     PointSet,
+    PopulationGridDensity,
     RandomSeed,
     Route,
     Square,
@@ -356,6 +358,24 @@ class TestValidationAndIO:
         back = load_points_csv(path, ps.square)
         assert np.array_equal(ps.coords, back.coords)
 
+    def test_csv_needs_its_header(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        for text in ("", "a,b\n0.1,0.2\n", "0.1,0.2\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="header 'x,y'"):
+                load_points_csv(path)
+
+    def test_csv_short_row_names_its_line(self, tmp_path):
+        # a row with one field used to raise IndexError
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y\n0.1,0.2\n0.3\n")
+        with pytest.raises(ValueError, match="line 3 has fewer than two fields"):
+            load_points_csv(path)
+        path.write_text("x,y\n0.1,0.2\n\n0.3,0.5\n")  # blank lines are skipped
+        back = load_points_csv(path)
+        assert back.coords.tolist() == [[0.1, 0.2], [0.3, 0.5]]
+        assert back.square == Square((0.1, 0.2), 0.3)
+
     def test_grid_resolution_is_a_count(self):
         # m = 2.0 used to be stored as a float that every scheme rejected,
         # uniform(2.0) raised TypeError and the JSON reader truncated 2.5 to 2
@@ -399,6 +419,51 @@ class TestValidationAndIO:
     def test_density_json_round_trip(self):
         d = GridDensity(2, [2.0, 1.0, 0.5, 0.5], Square((0.5, -1.0), 2.0))
         back = density_from_json(density_to_json(d))
-        assert back.m == d.m
+        assert type(back) is GridDensity and back.m == d.m
         assert np.array_equal(back.cells, d.cells)
         assert back.square == d.square
+        # a population density writes its total's cells and its layers, no kind
+        pop = PopulationGridDensity(2, [[2.0, 0, 0, 1.0], [0, 0.5, 0.5, 0]], Square((0.5, -1.0), 2.0))
+        spec = density_to_json(pop)
+        assert spec["cells"] == [2.0, 0.5, 0.5, 1.0] and "kind" not in spec
+        back = density_from_json(json.dumps(spec))
+        assert type(back) is PopulationGridDensity and back.m == pop.m
+        assert np.array_equal(back.layers, pop.layers)
+        assert back.square == pop.square
+
+    def test_density_spec_kinds(self):
+        # without a kind, a spec with layers is a population density, any other a grid density
+        layers = [[1.0, 0.0], [0.0, 1.0]]
+        assert type(density_from_json({"m": 1, "layers": [[0.5], [0.5]]})) is PopulationGridDensity
+        assert type(density_from_json({"m": 1, "cells": [1.0]})) is GridDensity
+        assert type(density_from_json({"kind": "grid", "m": 1, "cells": [1.0], "layers": layers})) is GridDensity
+        uniform = density_from_json({"kind": "uniform", "m": 3, "square": {"origin": [1, 2], "side": 4}})
+        assert uniform.m == 3 and np.array_equal(uniform.cells, np.ones(9)) and uniform.square == Square((1.0, 2.0), 4.0)
+        assert density_from_json({"kind": "uniform"}).m == 1
+        with pytest.raises(ValueError, match="unknown density spec kind 'hexagon'"):
+            density_from_json({"kind": "hexagon", "m": 1})
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"cells": [1.0]}, "m"),
+            ({"m": 2}, "cells"),
+            ({"kind": "grid", "m": 1}, "cells"),
+            ({"kind": "population", "m": 1}, "layers"),
+            ({"layers": [[1.0]]}, "m"),
+            ({"m": 1, "cells": [1.0], "square": {"side": 1.0}}, "square.origin"),
+            ({"m": 1, "cells": [1.0], "square": {"origin": [0, 0]}}, "square.side"),
+            ({"kind": "uniform", "square": []}, "square.origin"),
+        ],
+    )
+    def test_density_spec_missing_key(self, spec, key):
+        # a missing key used to raise KeyError
+        with pytest.raises(ValueError, match=f"density spec lacks '{key}'"):
+            density_from_json(spec)
+
+    def test_density_spec_not_an_object(self):
+        for spec in ([1, 2], "[1, 2]", 3):
+            with pytest.raises(ValueError, match="must be a JSON object"):
+                density_from_json(spec)
+        with pytest.raises(ValueError):
+            density_from_json({"m": 1, "cells": [1.0], "square": {"origin": [0], "side": 1.0}})

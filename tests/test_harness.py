@@ -65,6 +65,10 @@ class TestRateFit:
             fit_loglog_slope(samples)
 
 
+# a population density spec that names no kind
+KINDLESS_POPULATION = {"m": 2, "layers": [[2.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]]}
+
+
 def small_config(tmp_path, name="run", **overrides):
     base = dict(
         experiment="ktsp-rate",
@@ -298,6 +302,45 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             default_config("nope")
 
+    @pytest.mark.parametrize("kind", ["ktsp-rate", "trp-rate", "trp-factor", "tail-dominance"])
+    def test_grid_kind_rejects_a_population_spec(self, kind):
+        # a spec with layers and no kind reads as a population density,
+        # which these kinds cannot sample: it used to fail inside a trial
+        cfg = default_config(kind)
+        with pytest.raises(ValueError, match=f"{kind} needs a GridDensity spec, got a PopulationGridDensity"):
+            dataclasses.replace(cfg, density=KINDLESS_POPULATION)
+        total = {"m": 2, "cells": [2.0, 2.0, 0.0, 0.0]}
+        assert dataclasses.replace(cfg, density=total).density == total
+
+    def test_fairness_audit_needs_a_population_spec(self):
+        # used to build, then fail when the run prepared the mix
+        cfg = default_config("fairness-audit")
+        for spec in ({"kind": "uniform", "m": 2}, {"m": 2, "cells": [2.0, 2.0, 0.0, 0.0]}):
+            with pytest.raises(ValueError, match="fairness-audit needs a PopulationGridDensity spec, got a GridDensity"):
+                dataclasses.replace(cfg, density=spec)
+        assert dataclasses.replace(cfg, density=KINDLESS_POPULATION).density == KINDLESS_POPULATION
+
+    def test_density_spec_checked_when_built(self, tmp_path):
+        bad = ({"m": 2}, {"kind": "hexagon", "m": 1}, {"kind": "grid", "m": 2, "cells": [1.0, 1.0, 1.0, 2.0]})
+        for spec in bad:
+            with pytest.raises(ValueError):
+                small_config(tmp_path, density=spec)
+        cfg = small_config(tmp_path).canonical() | {"density": {"m": 2}, "out_dir": str(tmp_path / "run")}
+        path = tmp_path / "no-cells.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert not (tmp_path / "run").exists()  # rejected before any trial ran
+
+    def test_kindless_population_spec_runs(self, tmp_path):
+        # the default spec without its kind gives the same trials
+        cfg = dataclasses.replace(default_config("fairness-audit", 7), n_grid=(60,), trials=6)
+        spec = {key: val for key, val in cfg.density.items() if key != "kind"}
+        named, kindless = (
+            open(run_experiment(dataclasses.replace(cfg, density=density, out_dir=str(tmp_path / name))).csv_path).read()
+            for name, density in (("named", cfg.density), ("kindless", spec))
+        )
+        assert named == kindless
+
     def test_cli_rejects_bad_config(self, tmp_path, capsys):
         cfg = small_config(tmp_path).canonical()
         cfg["thresholds"]["slope_tl"] = 0.1
@@ -405,6 +448,34 @@ class TestCli:
         points = tmp_path / "points.csv"
         assert main(["sample", "--density", str(density), "--n", "5", "--out", str(points)]) == 0
         assert len(points.read_text().splitlines()) == 6
+
+    def test_population_file_without_kind(self, tmp_path):
+        # sample, ktsp and trp read a population file as its total density
+        pop = tmp_path / "pop.json"
+        pop.write_text(json.dumps({"m": 2, "layers": [[1.0, 0.5, 0.0, 1.0], [1.0, 0.5, 0.0, 0.0]]}))
+        total = tmp_path / "total.json"
+        total.write_text(json.dumps({"m": 2, "cells": [2.0, 1.0, 0.0, 1.0]}))
+
+        def outputs(density):
+            points = tmp_path / f"{density.stem}.csv"
+            assert main(["sample", "--density", str(density), "--n", "40", "--seed", "3", "--out", str(points)]) == 0
+            found = [points.read_text()]
+            for command in (["ktsp", "--k", "5", "--method", "nonuniform"], ["trp"]):
+                out = tmp_path / f"{density.stem}-{command[0]}.json"
+                assert main([*command, "--points", str(points), "--density", str(density), "--out", str(out)]) == 0
+                found.append(json.loads(out.read_text()))
+            return found
+
+        sampled, ktsp, trp = outputs(pop)
+        assert [sampled, ktsp, trp] == outputs(total)
+        assert len(sampled.splitlines()) == 41 and len(ktsp["order"]) == 5 and trp["n"] == 40
+
+        # fairness reads its layers
+        out = tmp_path / "fair.json"
+        args = ["fairness", "--population", str(pop), "--k", "3", "--sample-from", str(tmp_path / "pop.csv")]
+        assert main([*args, "--out", str(out)]) == 0
+        sample = json.loads(out.read_text())["sample"]
+        assert sum(sample["served_counts"]) == 3 and len(sample["order"]) == 3
 
     def test_dispatch_rejects_fractional_counts(self, tmp_path):
         out = tmp_path / "plan.json"

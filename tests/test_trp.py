@@ -66,6 +66,16 @@ class TestAprioriScheme:
         result = trp_apriori_scheme(ps, d)
         assert result.latency == pytest.approx(total_latency(result.route, ps), rel=1e-12)
 
+    def test_latency_is_the_metric_bit_for_bit(self):
+        # the scheme sums its own steps instead of walking the route again
+        for m, n in itertools.product((1, 2, 5), (1, 2, 3, 40, 300)):
+            d = GridDensity.from_raw(m, np.arange(1, m * m + 1))
+            ps = sample_points(d, n, RandomSeed(m, n))
+            result = trp_apriori_scheme(ps, d)
+            assert result.latency == total_latency(result.route, ps)
+            with_depot = trp_apriori_scheme(ps, d, Point(0.3, 0.9))
+            assert with_depot.latency == total_latency(with_depot.route, ps) + with_depot.depot_offset
+
     def test_per_cell_last_latency_is_nondecreasing(self):
         d = GridDensity.uniform(4)
         ps = sample_points(d, 250, RandomSeed(5))
