@@ -349,6 +349,12 @@ class TestPopulationDensity:
         with pytest.raises(ValueError, match="whole number"):
             density_from_json(density_to_json(SEGREGATED) | {"m": 2.5})  # used to truncate to 2
 
+    def test_json_round_trip(self):
+        back = density_from_json(density_to_json(SEGREGATED))
+        assert type(back) is PopulationGridDensity
+        assert np.array_equal(back.layers, SEGREGATED.layers)
+        assert back.square == SEGREGATED.square
+
     def test_one_class_in_core(self):
         assert routebench.fairness.PopulationGridDensity is routebench.core.PopulationGridDensity is PopulationGridDensity
 
