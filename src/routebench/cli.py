@@ -106,7 +106,7 @@ def _cmd_fairness(args) -> int:
         result = fair_ktsp_sample(pop, mix, ps, args.k, RandomSeed(args.seed))
         out["sample"] = {
             **result.to_json(),
-            "cell_sampled": result.cell_sampled,
+            "cell_sampled": result.density_cell,
             "served_counts": list(result.served_counts),
             "augmented_cells": list(result.augmented_cells),
         }

@@ -118,9 +118,11 @@ class Square:
     side: float
 
     def __post_init__(self):
-        ox, oy = self.origin
-        if not (math.isfinite(ox) and math.isfinite(oy) and math.isfinite(self.side)):
-            raise ValueError("square parameters must be finite")
+        try:
+            ox, oy = self.origin
+        except (TypeError, ValueError):
+            raise ValueError(f"square origin must be a pair, got {_brief(self.origin)}") from None
+        _require_finite(**{"square origin x": ox, "square origin y": oy, "square side": self.side})
         if self.side <= 0:
             raise ValueError("square side must be positive")
 
@@ -581,9 +583,10 @@ def density_from_json(obj: dict | str) -> GridDensity | PopulationGridDensity:
     key is missing or ``kind`` is unknown.
 
     ``kind`` is ``"uniform"`` (``m``, default 1), ``"grid"`` (``m``, ``cells``)
-    or ``"population"`` (``m``, ``layers``); a spec without one is a
-    population density if it has ``layers``, else a grid density.
-    ``square`` (``origin``, ``side``) defaults to the unit square.
+    or ``"population"`` (``m``, ``layers``, and optionally ``cells``, which
+    must then be the layers' cell-wise sum to within 1e-9); a spec without
+    one is a population density if it has ``layers``, else a grid density.
+    ``square`` (``origin``, a pair, and ``side``) defaults to the unit square.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -591,12 +594,23 @@ def density_from_json(obj: dict | str) -> GridDensity | PopulationGridDensity:
         raise ValueError(f"a density spec must be a JSON object, got {_brief(obj)}")
     square = UNIT_SQUARE
     if obj.get("square") is not None:
-        origin = tuple(map(float, _spec_key(obj, "square.origin")))  # Square unpacks two
-        square = Square(origin, float(_spec_key(obj, "square.side")))
+        origin = _spec_key(obj, "square.origin")
+        try:
+            ox, oy = map(float, origin)
+        except (TypeError, ValueError):
+            raise ValueError(f"density spec 'square.origin' must be a pair of reals, got {_brief(origin)}") from None
+        side = _spec_key(obj, "square.side")
+        _require_finite(**{"density spec 'square.side'": side})
+        square = Square((ox, oy), float(side))
     kind = obj.get("kind", "population" if "layers" in obj else "grid")
     if kind == "uniform":
         return GridDensity.uniform(obj.get("m", 1), square)
     if kind not in ("grid", "population"):
         raise ValueError(f"unknown density spec kind {_brief(kind)}")
     cls, key = (GridDensity, "cells") if kind == "grid" else (PopulationGridDensity, "layers")
-    return cls(_spec_key(obj, "m"), np.asarray(_spec_key(obj, key), dtype=np.float64), square)
+    d = cls(_spec_key(obj, "m"), np.asarray(_spec_key(obj, key), dtype=np.float64), square)
+    if key == "layers" and "cells" in obj:  # the total that density_to_json writes next to the layers
+        cells = np.asarray(obj["cells"], dtype=np.float64).reshape(-1)
+        if cells.shape != d.total.cells.shape or not np.all(np.abs(cells - d.total.cells) <= 1e-9):
+            raise ValueError("density spec 'cells' must be the cell-wise sum of its 'layers'")
+    return d

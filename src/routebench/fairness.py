@@ -25,10 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GridDensity, PointSet, PopulationGridDensity, RandomSeed, Route, Square, cell_ids, sample_points
-from .core import _cell_ids, _group_by_cell, _path_length, _require_count, _require_finite, _require_int
+from .core import GridDensity, PointSet, PopulationGridDensity, RandomSeed, Square, cell_ids, sample_points
+from .core import _cell_ids, _group_by_cell, _require_count, _require_finite, _require_int
 from .errors import InfeasibleError
-from .ktsp import KtspResult, ktsp_grid_scheme, ktsp_nonuniform_scheme
+from .ktsp import KtspResult, _ktsp_in_region, ktsp_nonuniform_scheme
 
 __all__ = [
     "FairnessMix",
@@ -64,13 +64,12 @@ class FairnessMix:
 class FairKtspResult(KtspResult):
     """Randomized fair route plus audit data.
 
-    ``cell_sampled`` is the density cell drawn from the mixture,
+    ``density_cell`` is the density cell drawn from the mixture,
     ``served_counts`` the number of served points per population, and
     ``augmented_cells`` any neighbouring cells pulled in because the drawn
     cell held fewer than k points.
     """
 
-    cell_sampled: int = -1
     served_counts: tuple[int, ...] = ()
     augmented_cells: tuple[int, ...] = ()
 
@@ -254,15 +253,12 @@ def fair_ktsp_sample(
     y1 = max(r.origin[1] + r.side for r in rects)
     region = Square((x0, y0), max(x1 - x0, y1 - y0))
 
-    sub = ps.subset(members, region)
-    inner = ktsp_grid_scheme(sub, k)
-    path = members[np.array(inner.route.order, dtype=np.intp)]
-    route = Route._of(tuple(path.tolist()), closed=False)
+    result = _ktsp_in_region(ps, members, region, k, cell)
 
     # each served point draws its label from its cell's shares with one
     # uniform, as rng.choice(populations, p=shares) would: the first label
     # whose normalized cumulative share exceeds it
-    served = ids.take(path)
+    served = ids.take(result.route.order)
     totals = pop.total.cells.take(served)
     if not np.all(totals > 0):
         raise ValueError("a served point lies in a cell of zero total density")
@@ -270,17 +266,7 @@ def fair_ktsp_sample(
     cdf /= cdf[-1]
     labels = np.count_nonzero(cdf <= rng.random(k), axis=0)
     counts = np.bincount(labels, minlength=pop.populations)
-
-    return FairKtspResult(
-        route=route,
-        length=_path_length(ps.coords.take(path, axis=0), closed=False),
-        alpha_used=inner.alpha_used,
-        cell_chosen=inner.cell_chosen,
-        density_cell=cell,
-        cell_sampled=cell,
-        served_counts=tuple(counts.tolist()),
-        augmented_cells=tuple(augmented),
-    )
+    return FairKtspResult(**vars(result), served_counts=tuple(counts.tolist()), augmented_cells=tuple(augmented))
 
 
 # --- k-subset scheme handles for the service-probability map ---------------

@@ -24,7 +24,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -404,6 +404,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     (experiment, n, k, trial), results are sorted before writing, and the
     worker count affects wall time only.
     """
+    cfg = replace(cfg)  # runs the checks again: its density and thresholds dicts may have changed
     density = density_from_json(cfg.density)
     prepare = _KINDS[cfg.experiment].prepare
     context = prepare(cfg, density) if prepare is not None else None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridDensity, PointSet, Route, _cell_ids, _path_length, route_length
+from .core import GridDensity, PointSet, Route, Square, _cell_ids, _path_length, route_length
 from .core import _require_count, _require_finite, _require_int
 from .tsp import _distance_matrix, _held_karp, _layers, _path_to, _require_budget, strip_two_opt
 
@@ -101,10 +101,22 @@ def ktsp_grid_scheme(ps: PointSet, k: int) -> KtspResult:
     chosen = members[np.argsort(d2, kind="stable")[:k]]  # members ascend: ties to the lower index
 
     sub = ps.subset(chosen, ps.square.cell(m, cell))
-    tour = strip_two_opt(sub)
-    path = chosen[_open_at_longest_edge(np.array(tour.route.order, dtype=np.intp), sub.coords)]
-    route = Route._of(tuple(path.tolist()), closed=False)
-    return KtspResult(route, _path_length(ps.coords.take(path, axis=0), closed=False), alpha, cell)
+    order = _open_at_longest_edge(np.array(strip_two_opt(sub).route.order, dtype=np.intp), sub.coords)
+    return KtspResult(*_lift(ps, chosen, order), alpha, cell)
+
+
+def _lift(ps: PointSet, members: np.ndarray, order) -> tuple[Route, float]:
+    """The open path through ``members[order]`` as a route of ps, and its
+    length on ps's coordinates, which a subset may have clipped by an ulp."""
+    path = members[np.asarray(order, dtype=np.intp)]
+    return Route._of(tuple(path.tolist()), closed=False), _path_length(ps.coords.take(path, axis=0), closed=False)
+
+
+def _ktsp_in_region(ps: PointSet, members: np.ndarray, region: Square, k: int, density_cell: int) -> KtspResult:
+    """The grid scheme on the points ``members`` of ps, taken as a point set
+    of ``region``, with its path lifted back to ps's indices."""
+    inner = ktsp_grid_scheme(ps.subset(members, region), k)
+    return KtspResult(*_lift(ps, members, inner.route.order), inner.alpha_used, inner.cell_chosen, density_cell)
 
 
 def ktsp_nonuniform_scheme(ps: PointSet, d: GridDensity, k: int) -> KtspResult:
@@ -124,12 +136,7 @@ def ktsp_nonuniform_scheme(ps: PointSet, d: GridDensity, k: int) -> KtspResult:
     members = np.flatnonzero(ids == target)
     if members.size < k:
         return ktsp_grid_scheme(ps, k)
-    sub = ps.subset(members, d.square.cell(d.m, target))
-    inner = ktsp_grid_scheme(sub, k)
-    path = members[np.array(inner.route.order, dtype=np.intp)]
-    route = Route._of(tuple(path.tolist()), closed=False)
-    length = _path_length(ps.coords.take(path, axis=0), closed=False)
-    return KtspResult(route, length, inner.alpha_used, inner.cell_chosen, density_cell=target)
+    return _ktsp_in_region(ps, members, d.square.cell(d.m, target), k, target)
 
 
 def ktsp_exact(ps: PointSet, k: int) -> KtspResult:

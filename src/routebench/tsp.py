@@ -75,16 +75,18 @@ def strip_tour(ps: PointSet) -> TspResult:
 
 def _nearest(d2: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the k candidates of least squared distance ``d2``, in
-    (distance, index) order, and those distances; needs k < columns."""
-    r = np.arange(len(d2))[:, None]
-    part = np.argpartition(d2, (k - 1, k), axis=1)
-    sel = part[:, :k]
-    # a tie across the k-th place goes to the lower indices
-    for i in np.flatnonzero(d2[r[:, 0], part[:, k - 1]] == d2[r[:, 0], part[:, k]]):
-        sel[i] = np.lexsort((cand[i], d2[i]))[:k]
-    cand, d2 = cand[r, sel], d2[r, sel]
-    rank = np.lexsort((cand, d2), axis=1)
-    return cand[r, rank], d2[r, rank]
+    (distance, index) order, and those distances; needs k <= columns.
+
+    Only the entries at or inside each row's k-th distance are sorted, by
+    (row, distance, index); flatnonzero lists them row by row, so row i's
+    run starts at ``first[i]``.
+    """
+    at = np.flatnonzero(d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1, None])
+    r, near, cand = at // d2.shape[1], d2.take(at), cand.take(at)
+    rank = np.lexsort((cand, near, r))
+    first = np.searchsorted(r, np.arange(len(d2)))
+    sel = rank[first[:, None] + np.arange(k)]
+    return cand[sel], near[sel]
 
 
 def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -> np.ndarray:
@@ -150,10 +152,10 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
 
     Neighbours run nearest first, ties to the lower index.  Up to
     ``_SORT_MAX`` points, rows of the distance matrix are sorted in Python.
-    Above it a grid search settles most rows.  For each other row numpy
-    finds the k-th distance to all points by partition and sorts only the
-    entries at or inside it, in blocks of at most ``_KNN_BLOCK`` distances,
-    so memory is O(t * k) plus one bounded block.
+    Above it a grid search settles most rows, and each other row takes all
+    points as candidates; :func:`_nearest` selects from both, in blocks of
+    at most ``_KNN_BLOCK`` distances, so memory is O(t * k) plus one
+    bounded block.
     """
     t = len(pts)
     x, y = pts[:, 0], pts[:, 1]
@@ -172,14 +174,7 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
         part = todo[lo : lo + rows]
         d2 = (x[part, None] - x) ** 2 + (y[part, None] - y) ** 2
         d2[np.arange(len(part)), part] = np.inf
-        # the entries at or inside each row's k-th distance, by (row, d2, index);
-        # nonzero lists them row by row, so row i's run starts at first[i]
-        r, j = np.nonzero(d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1, None])
-        near = d2[r, j]
-        rank = np.lexsort((j, near, r))
-        first = np.searchsorted(r, np.arange(len(part)))
-        sel = rank[first[:, None] + np.arange(k)]
-        nbr[part], d2s[part] = j[sel], near[sel]
+        nbr[part], d2s[part] = _nearest(d2, np.broadcast_to(np.arange(t), d2.shape), k)
     return nbr, list(map(list, map(zip, nbr.tolist(), np.sqrt(d2s).tolist())))
 
 

@@ -467,3 +467,46 @@ class TestValidationAndIO:
                 density_from_json(spec)
         with pytest.raises(ValueError):
             density_from_json({"m": 1, "cells": [1.0], "square": {"origin": [0], "side": 1.0}})
+
+    def test_population_spec_cells_must_be_its_total(self):
+        # the cells of a population spec used to be ignored: this spec read
+        # back as a density whose total is [1.0]
+        with pytest.raises(ValueError, match="'cells' must be the cell-wise sum of its 'layers'"):
+            density_from_json({"m": 1, "layers": [[1.0]], "cells": [5.0]})
+        with pytest.raises(ValueError, match="'cells' must be the cell-wise sum"):
+            density_from_json({"m": 2, "layers": [[2.0, 0, 0, 1.0], [0, 0.5, 0.5, 0]], "cells": [2.0, 0.5, 0.5]})
+        # within 1e-9 of the sum, and absent, both read
+        pop = density_from_json({"m": 1, "layers": [[0.5], [0.5]], "cells": [1.0 + 1e-10]})
+        assert np.array_equal(pop.total.cells, [1.0])
+        assert type(density_from_json({"m": 1, "layers": [[0.5], [0.5]]})) is PopulationGridDensity
+
+    @pytest.mark.parametrize(
+        "origin, side, name",
+        [
+            ((0.0, 0.0), 10**400, "square side must be finite"),
+            ((0.0, 0.0), "1", "square side must be finite"),
+            ((0.0, 0.0), math.inf, "square side must be finite"),
+            ((math.nan, 0.0), 1.0, "square origin x must be finite"),
+            ((0.0, -(10**400)), 1.0, "square origin y must be finite"),
+            ((0.0, None), 1.0, "square origin y must be finite"),
+            (5, 1.0, "square origin must be a pair"),
+            ((0.0, 0.0, 0.0), 1.0, "square origin must be a pair"),
+            ((0.0, 0.0), 0.0, "square side must be positive"),
+        ],
+        ids=["huge-side", "string-side", "inf-side", "nan-x", "huge-y", "none-y", "int-origin", "triple", "zero-side"],
+    )
+    def test_square_parameters_are_finite_reals(self, origin, side, name):
+        # an int beyond float range raised OverflowError, a string side
+        # TypeError and an origin that is not a pair TypeError
+        with pytest.raises(ValueError, match=name):
+            Square(origin, side)
+
+    @pytest.mark.parametrize("origin", [5, [0.0], [0.0, 0.0, 0.0], ["a", 0.0], [None, 0.0]])
+    def test_density_spec_origin_must_be_a_pair(self, origin):
+        with pytest.raises(ValueError, match="'square.origin' must be a pair of reals"):
+            density_from_json({"m": 1, "cells": [1.0], "square": {"origin": origin, "side": 1.0}})
+
+    @pytest.mark.parametrize("side", [None, "1", 10**400, [1.0]], ids=["none", "string", "huge-int", "list"])
+    def test_density_spec_side_must_be_a_finite_real(self, side):
+        with pytest.raises(ValueError, match="'square.side' must be finite"):
+            density_from_json({"m": 1, "cells": [1.0], "square": {"origin": [0, 0], "side": side}})

@@ -208,7 +208,7 @@ class TestFairSampler:
         ps = sample_points(pop.total, 300, RandomSeed(41))
         for trial in range(10):
             result = fair_ktsp_sample(pop, mix, ps, 4, RandomSeed(42, trial))
-            assert result.cell_sampled == 0
+            assert result.density_cell == 0
             ids = cell_ids(ps.coords[list(result.route.order)], pop.square, pop.m)
             assert np.all(ids == 0)
 
@@ -241,7 +241,7 @@ class TestFairSampler:
 
         mix = FairnessMix(mix_q, (1,), 0.0, 0.0)
         result = fair_ktsp_sample(pop, mix, ps, 10, RandomSeed(48))
-        assert result.cell_sampled == 1
+        assert result.density_cell == 1
         assert len(result.route) == 10
         assert len(result.augmented_cells) >= 1
 
@@ -398,7 +398,7 @@ class TestFairSamplerGolden:
         assert result.augmented_cells == want["augmented_cells"]
         assert (result.alpha_used, result.cell_chosen) == (want["alpha_used"], want["cell_chosen"])
         assert result.served_counts == want["served_counts"]
-        assert result.cell_sampled == 6
+        assert result.density_cell == 6
 
 
 def test_served_point_in_zero_density_cell_rejected():

@@ -331,6 +331,21 @@ class TestConfigValidation:
         assert main(["experiment", "--config", str(path)]) == 1
         assert not (tmp_path / "run").exists()  # rejected before any trial ran
 
+    def test_spec_changed_after_build_checked_before_trials(self, tmp_path):
+        # the config's dicts stay mutable; a population spec put into a
+        # trp-factor config after it was built used to fail inside a trial
+        # with AttributeError
+        cfg = dataclasses.replace(default_config("trp-factor", out_dir=str(tmp_path / "run")), n_grid=(50,), trials=1)
+        cfg.density["kind"] = "population"
+        cfg.density["layers"] = [[1.0] * 64]
+        with pytest.raises(ValueError, match="needs a GridDensity spec"):
+            run_experiment(cfg)
+        cfg = small_config(tmp_path)
+        cfg.thresholds["no_such_threshold"] = 1.0
+        with pytest.raises(ValueError, match="unknown .* thresholds"):
+            run_experiment(cfg)
+        assert not (tmp_path / "run").exists()  # rejected before any trial ran
+
     def test_kindless_population_spec_runs(self, tmp_path):
         # the default spec without its kind gives the same trials
         cfg = dataclasses.replace(default_config("fairness-audit", 7), n_grid=(60,), trials=6)

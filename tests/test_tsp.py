@@ -28,6 +28,7 @@ from routebench.tsp import (
     _distance_matrix,
     _held_karp,
     _layers,
+    _nearest,
     _neighbor_lists,
     _path_to,
     _steps,
@@ -348,6 +349,33 @@ class TestTwoOptKernel:
             for i, row in enumerate(cands):
                 assert [c for c, _ in row] == expected[i]
                 assert [dc for _, dc in row] == pytest.approx([math.dist(pts[i], pts[c]) for c, _ in row], rel=1e-15)
+
+
+def test_nearest_kernel_matches_brute_force():
+    # the one selection kernel of the grid windows and the dense fallback:
+    # per row, the first k columns of a stable sort by (distance, candidate)
+    rng = np.random.default_rng(15)
+    ties = short = 0
+    for trial in range(240):
+        rows, cols = int(rng.integers(1, 25)), int(rng.integers(2, 40))
+        cand = np.stack([rng.permutation(10 * cols)[:cols] for _ in range(rows)])
+        off = rng.integers(-2, 3, (rows, cols, 2))
+        d2 = (off**2).sum(axis=2).astype(float)  # lattice windows: few distinct distances
+        if trial % 3 == 1:
+            d2 += rng.random((rows, cols))
+        pad = rng.random((rows, cols)) < (trial % 4) / 4  # padding: candidate -1 at infinity
+        cand[pad], d2[pad] = -1, np.inf
+        for k in sorted({1, cols - 1, int(rng.integers(1, cols))}):
+            got_cand, got_d2 = _nearest(d2, cand, k)
+            assert got_cand.shape == got_d2.shape == (rows, k)
+            for i in range(rows):
+                sel = np.lexsort((cand[i], d2[i]))[:k]
+                assert got_cand[i].tolist() == cand[i, sel].tolist()
+                assert got_d2[i].tolist() == d2[i, sel].tolist()
+                srt = np.sort(d2[i])
+                ties += bool(srt[k - 1] == srt[k])
+                short += bool(np.count_nonzero(np.isfinite(d2[i])) < k)
+    assert ties > 100 and short > 100  # the cases the kernel must break by index
 
 
 def golden_instance(name):
