@@ -578,9 +578,20 @@ def _spec_key(spec: dict, path: str):
         raise ValueError(f"density spec lacks {path!r}") from None
 
 
+def _spec_numbers(spec: dict, key: str) -> np.ndarray:
+    """The numbers at ``key`` of a spec as a float64 array; ValueError naming
+    the key when they are not arrays of numbers (an object, say)."""
+    value = _spec_key(spec, key)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):  # TypeError: an object; ValueError: a ragged array or text
+        raise ValueError(f"density spec {key!r} must be arrays of numbers, got {_brief(value)}") from None
+
+
 def density_from_json(obj: dict | str) -> GridDensity | PopulationGridDensity:
     """The density of a JSON spec (an object or its text); ValueError when a
-    key is missing or ``kind`` is unknown.
+    key is missing, ``cells`` or ``layers`` are not arrays of numbers, or
+    ``kind`` is unknown.
 
     ``kind`` is ``"uniform"`` (``m``, default 1), ``"grid"`` (``m``, ``cells``)
     or ``"population"`` (``m``, ``layers``, and optionally ``cells``, which
@@ -608,9 +619,9 @@ def density_from_json(obj: dict | str) -> GridDensity | PopulationGridDensity:
     if kind not in ("grid", "population"):
         raise ValueError(f"unknown density spec kind {_brief(kind)}")
     cls, key = (GridDensity, "cells") if kind == "grid" else (PopulationGridDensity, "layers")
-    d = cls(_spec_key(obj, "m"), np.asarray(_spec_key(obj, key), dtype=np.float64), square)
+    d = cls(_spec_key(obj, "m"), _spec_numbers(obj, key), square)
     if key == "layers" and "cells" in obj:  # the total that density_to_json writes next to the layers
-        cells = np.asarray(obj["cells"], dtype=np.float64).reshape(-1)
+        cells = _spec_numbers(obj, "cells").reshape(-1)
         if cells.shape != d.total.cells.shape or not np.all(np.abs(cells - d.total.cells) <= 1e-9):
             raise ValueError("density spec 'cells' must be the cell-wise sum of its 'layers'")
     return d

@@ -28,9 +28,11 @@ EXACT_BUDGET = 32 << 20
 # Candidate neighbours per point in ``two_opt``.
 NEIGHBORS = 8
 # Candidate lists: up to _SORT_MAX points, sort rows of the distance matrix
-# in Python; above, at most _KNN_BLOCK squared distances per numpy block.
+# in Python; above, about _KNN_BLOCK squared distances per numpy block.
 _SORT_MAX = 16
 _KNN_BLOCK = 1 << 12
+# A key past every candidate in _nearest, and a point past every other.
+_FAR = complex(math.inf, math.inf)
 # Held-Karp states relaxed per numpy step.
 _HK_BLOCK = 1 << 11
 
@@ -77,32 +79,45 @@ def _nearest(d2: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     """Per row, the k candidates of least squared distance ``d2``, in
     (distance, index) order, and those distances; needs k <= columns.
 
-    Only the entries at or inside each row's k-th distance are sorted, by
-    (row, distance, index); flatnonzero lists them row by row, so row i's
-    run starts at ``first[i]``.
+    A row's answer lies among its entries at or inside its k-th distance
+    (``np.partition``).  Those are laid out left-aligned in a block of
+    (rows, most entries kept in a row) complex keys distance + index * 1j,
+    padded with inf + inf * 1j; ``np.sort`` orders complex numbers by real,
+    then imaginary part, so each row's first k keys are its answer, ties
+    broken by index.  Indices stay exact below 2**53.
     """
-    at = np.flatnonzero(d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1, None])
-    r, near, cand = at // d2.shape[1], d2.take(at), cand.take(at)
-    rank = np.lexsort((cand, near, r))
-    first = np.searchsorted(r, np.arange(len(d2)))
-    sel = rank[first[:, None] + np.arange(k)]
-    return cand[sel], near[sel]
+    rows, cols = d2.shape
+    at = (d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1, None]).ravel().nonzero()[0]
+    width, to = k, slice(None)
+    if len(at) > rows * k:  # ties across some row's k-th distance: more than k kept
+        r = at // cols
+        kept = np.bincount(r, minlength=rows)
+        width = int(kept.max())
+        to = r * width + np.arange(len(at)) - (np.cumsum(kept) - kept)[r]
+    key = np.full((rows, width), _FAR)
+    flat = key.reshape(-1)
+    flat.real[to], flat.imag[to] = d2.take(at), cand.take(at)
+    key.sort(axis=1)
+    key = key[:, :k]
+    return key.imag.astype(np.int64), key.real
 
 
 def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -> np.ndarray:
     """Fill the rows of ``nbr`` and ``d2s`` that a grid search settles, and
     return the indices of the other rows.
 
-    Points are bucketed in a grid of about two per cell, and a point's
-    candidates are the points in the 5 x 5 cells around its own.  Sorted by
-    cell, the points of one row of those cells form one run, so the
-    candidates are five runs.  A row is settled when its k-th distance is
-    below the distance from the point to the edge of those cells.  An input
-    too crowded for the grid settles none: one whose fullest cell holds more
-    than 4k points, or at least t / 25.
+    Points are bucketed in a grid of about two per cell.  Each occupied cell
+    has one candidate list, the points of the 5 x 5 cells around it, which
+    all its points share.  Sorted by cell, the points of one row of those
+    cells form one run, so a list is five runs, padded to the longest list.
+    Points are taken in cell order, in blocks of whole cells of about
+    ``_KNN_BLOCK`` distances, and only the block's own lists are built.  A
+    row is settled when its k-th distance is below the distance from the
+    point to the edge of its 5 x 5 cells.  An input too crowded for the grid
+    settles none: one whose fullest cell holds more than 4k points, or at
+    least t / 25.
     """
     t = len(pts)
-    x, y = pts[:, 0], pts[:, 1]
     everyone = np.arange(t)
     low = pts.min(axis=0)
     span = float((pts.max(axis=0) - low).max())
@@ -110,39 +125,56 @@ def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -
         return everyone
     g = math.isqrt(t // 2)  # grid cells per side
     h = span / g
-    col = np.minimum(((x - low[0]) / h).astype(np.int64), g - 1)
-    row = np.minimum(((y - low[1]) / h).astype(np.int64), g - 1)
+    colrow = np.minimum(((pts - low) / h).astype(np.int64), g - 1)  # each point's grid column and row
     gp = g + 4  # two cells of empty padding on every side
-    cell = (row + 2) * gp + col + 2
+    cell = (colrow[:, 1] + 2) * gp + colrow[:, 0] + 2
     counts = np.bincount(cell, minlength=gp * gp)
     fullest = int(counts.max())
-    if 25 * fullest >= t or fullest > 4 * k:  # the runs below stay O(k) long
+    if 25 * fullest >= t or fullest > 4 * k:  # the lists below stay O(k) long
         return everyone
-    order = np.append(np.argsort(cell, kind="stable"), -1)  # -1 pads short runs
-    xp, yp = np.append(x, np.inf), np.append(y, np.inf)  # and lies infinitely far away
+    order = np.argsort(cell, kind="stable")
     starts = np.concatenate(([0], np.cumsum(counts)))  # cell c's points are order[starts[c] : starts[c + 1]]
-    # per point, the five runs of its window: where each starts in order, and its length
-    rows_of_window = np.arange(-2, 3) * gp
-    first = starts[cell[:, None] + (rows_of_window - 2)]
-    size = starts[cell[:, None] + (rows_of_window + 3)] - first
-    run = max(int(size.max()), k // 5 + 1)  # 5 * run > k, as _nearest needs
-    width = 5 * run
-    step = np.arange(run)
+    occupied = np.flatnonzero(counts)
+    cells = len(occupied)
+    # A list is six runs of positions in order: the five rows of its cells,
+    # then padding from position t on, where order reads -1.  Laid end to end,
+    # list i fills places i * width to (i + 1) * width, and an entry's
+    # position is its place plus the shift of its run.
+    window = occupied[:, None] + np.arange(-2, 3) * gp
+    first = starts[window - 2]
+    size = starts[window + 3] - first
+    length = size.sum(axis=1)
+    width = max(int(length.max()), k)
+    first = np.column_stack((first, np.full(cells, t)))
+    size = np.column_stack((size, width - length))
+    shift = first - (np.cumsum(size).reshape(cells, 6) - size)
+    cell_of = np.repeat(np.arange(cells), counts[occupied])  # per point in cell order
+    self_col = np.arange(t) - (shift[:, 2] + np.arange(cells) * width)[cell_of]
+    shift, size = shift.ravel(), size.ravel()
+    order_p = np.append(order, np.full(width, -1))
+    z = np.empty(t + 1, dtype=np.complex128)  # the points as x + y * 1j, and at -1 one infinitely far
+    z.real[:t], z.imag[:t], z[t] = pts[:, 0], pts[:, 1], _FAR
+    z_own = z[order]
     rows = max(1, _KNN_BLOCK // width)
-    for lo in range(0, t, rows):
-        hi = min(t, lo + rows)
-        at = np.where(step < size[lo:hi, :, None], first[lo:hi, :, None] + step, t)
-        cand = order[at].reshape(hi - lo, width)
-        d2 = (x[lo:hi, None] - xp[cand]) ** 2 + (y[lo:hi, None] - yp[cand]) ** 2
-        d2[cand == everyone[lo:hi, None]] = np.inf
-        nbr[lo:hi], d2s[lo:hi] = _nearest(d2, cand, k)
+    bounds = [*dict.fromkeys(starts[occupied][cell_of[::rows]].tolist()), t]  # whole cells
+    own_nbr, own_d2s = np.empty_like(nbr), np.empty_like(d2s)  # rows in cell order
+    for lo, hi in zip(bounds, bounds[1:]):
+        c0, c1 = int(cell_of[lo]), int(cell_of[hi - 1]) + 1
+        lists = np.repeat(shift[6 * c0 : 6 * c1], size[6 * c0 : 6 * c1])
+        lists += np.arange(c0 * width, c1 * width)
+        cand = order_p[lists].reshape(c1 - c0, width)[cell_of[lo:hi] - c0]
+        dz = z[cand]
+        np.subtract(z_own[lo:hi, None], dz, out=dz)
+        d2 = dz.real**2
+        d2 += dz.imag**2
+        d2[everyone[: hi - lo], self_col[lo:hi]] = np.inf
+        own_nbr[lo:hi], own_d2s[lo:hi] = _nearest(d2, cand, k)
+    nbr[order], d2s[order] = own_nbr, own_d2s
     # distance to the nearest edge of the 5 x 5 cells that faces other points
-    margin = np.minimum.reduce([
-        np.where(col > 2, x - (low[0] + (col - 2) * h), np.inf),
-        np.where(col < g - 3, low[0] + (col + 3) * h - x, np.inf),
-        np.where(row > 2, y - (low[1] + (row - 2) * h), np.inf),
-        np.where(row < g - 3, low[1] + (row + 3) * h - y, np.inf),
-    ]) - 1e-9 * h
+    margin = np.minimum(
+        np.where(colrow > 2, pts - (low + (colrow - 2) * h), np.inf),
+        np.where(colrow < g - 3, low + (colrow + 3) * h - pts, np.inf),
+    ).min(axis=1) - 1e-9 * h
     return np.flatnonzero(d2s[:, -1] >= np.where(margin > 0, margin, 0.0) ** 2)
 
 
@@ -154,8 +186,7 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
     ``_SORT_MAX`` points, rows of the distance matrix are sorted in Python.
     Above it a grid search settles most rows, and each other row takes all
     points as candidates; :func:`_nearest` selects from both, in blocks of
-    at most ``_KNN_BLOCK`` distances, so memory is O(t * k) plus one
-    bounded block.
+    about ``_KNN_BLOCK`` distances, so memory is O(t * k) plus one block.
     """
     t = len(pts)
     x, y = pts[:, 0], pts[:, 1]
@@ -170,12 +201,14 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
     d2s = np.empty((t, k))
     todo = _grid_neighbors(pts, k, nbr, d2s)
     rows = max(1, _KNN_BLOCK // t)
+    cand = np.tile(np.arange(t), (min(rows, len(todo)), 1))  # every point, in each row of a block
     for lo in range(0, len(todo), rows):
         part = todo[lo : lo + rows]
         d2 = (x[part, None] - x) ** 2 + (y[part, None] - y) ** 2
         d2[np.arange(len(part)), part] = np.inf
-        nbr[part], d2s[part] = _nearest(d2, np.broadcast_to(np.arange(t), d2.shape), k)
-    return nbr, list(map(list, map(zip, nbr.tolist(), np.sqrt(d2s).tolist())))
+        nbr[part], d2s[part] = _nearest(d2, cand[: len(part)], k)
+    pairs = list(zip(nbr.ravel().tolist(), np.sqrt(d2s).ravel().tolist()))
+    return nbr, [pairs[i : i + k] for i in range(0, t * k, k)]
 
 
 def _reverse(tour: list[int], pos: list[int], u: int, v: int) -> None:

@@ -501,6 +501,23 @@ class TestValidationAndIO:
         with pytest.raises(ValueError, match=name):
             Square(origin, side)
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"m": 1, "cells": {"a": 1}}, "cells"),
+            ({"m": 1, "cells": [{"a": 1}]}, "cells"),
+            ({"m": 1, "layers": {"a": [1.0]}}, "layers"),
+            ({"m": 1, "layers": [[{"a": 1}]]}, "layers"),
+            ({"m": 1, "layers": [[1.0], [{"a": 1}]]}, "layers"),
+            ({"m": 1, "layers": [[1.0]], "cells": [{"a": 1}]}, "cells"),
+        ],
+        ids=["cells-object", "cells-holds-object", "layers-object", "layers-holds-object", "second-layer-object", "total-holds-object"],
+    )
+    def test_density_spec_numbers_must_not_be_objects(self, spec, key):
+        # a JSON object in place of a number raised TypeError from numpy
+        with pytest.raises(ValueError, match=f"density spec '{key}' must be arrays of numbers"):
+            density_from_json(spec)
+
     @pytest.mark.parametrize("origin", [5, [0.0], [0.0, 0.0, 0.0], ["a", 0.0], [None, 0.0]])
     def test_density_spec_origin_must_be_a_pair(self, origin):
         with pytest.raises(ValueError, match="'square.origin' must be a pair of reals"):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,65 @@ def test_nearest_kernel_matches_brute_force():
                 ties += bool(srt[k - 1] == srt[k])
                 short += bool(np.count_nonzero(np.isfinite(d2[i])) < k)
     assert ties > 100 and short > 100  # the cases the kernel must break by index
+
+
+def crowded_cell_points(t, k, rng):
+    """t points of the unit square whose fullest cell in the candidate-list
+    grid (isqrt(t / 2) cells per side) holds exactly 4k points, the most
+    the grid search accepts."""
+    g = math.isqrt(t // 2)
+    crowded = (np.array([g // 2, g // 2]) + 0.1 + 0.8 * rng.random((4 * k, 2))) / g
+    rest = rng.random((3 * t, 2))
+    rest = rest[np.any(np.floor(rest * g) != g // 2, axis=1)][: t - 4 * k - 2]
+    return np.vstack([[(0.0, 0.0), (1.0, 1.0)], crowded, rest])  # the corners fix the grid's span
+
+
+@pytest.mark.parametrize("kind, t", [("uniform", 5000), ("uniform", 20000), ("clustered", 3000), ("crowded", 2000)])
+def test_candidate_lists_across_many_blocks(kind, t):
+    # inputs of many blocks of whole cells; the clustered one is too crowded
+    # for the grid and takes the dense fallback for every row
+    k = NEIGHBORS
+    rng = np.random.default_rng(t)
+    if kind == "uniform":
+        pts = rng.random((t, 2))
+    elif kind == "clustered":
+        pts = np.vstack([rng.random((t // 2, 2)) * 0.01, rng.random((t - t // 2, 2))])
+    else:
+        pts = crowded_cell_points(t, k, rng)
+        g = math.isqrt(t // 2)
+        cells = np.minimum(np.floor(pts * g).astype(int), g - 1)
+        assert np.unique(cells, axis=0, return_counts=True)[1].max() == 4 * k
+    unsettled = tsp._grid_neighbors(pts, k, np.empty((t, k), dtype=np.int64), np.empty((t, k)))
+    assert len(unsettled) == t if kind == "clustered" else len(unsettled) < t / 100
+    nbr, cands = _neighbor_lists(pts, k)
+    rows = rng.choice(t, 200, replace=False)
+    if kind == "crowded":
+        rows = np.concatenate([rows, np.arange(2, 2 + 4 * k)])  # every point of the fullest cell
+    for i in rows.tolist():
+        d2 = (pts[i, 0] - pts[:, 0]) ** 2 + (pts[i, 1] - pts[:, 1]) ** 2
+        d2[i] = np.inf
+        expected = np.argsort(d2, kind="stable")[:k]  # nearest first, ties to the lower index
+        assert nbr[i].tolist() == expected.tolist()
+        assert cands[i] == list(zip(expected.tolist(), np.sqrt(d2[expected]).tolist()))
+
+
+def test_candidate_lists_memory_is_output_plus_one_block():
+    # Beyond the lists it returns (`kept`: the index array and the
+    # (index, distance) pairs), _neighbor_lists may hold five arrays or
+    # lists of t * k entries at 8 bytes (the distances, their roots, the
+    # flat lists the pairs are zipped from, and the flat list of pairs)
+    # and one block of _KNN_BLOCK candidates at 128 bytes each: 6.9 MB
+    # here.  Building every point's list at once holds about 52 MB more.
+    t, k = 20000, NEIGHBORS
+    pts = np.random.default_rng(16).random((t, 2))
+    tracemalloc.start()
+    try:
+        nbr, cands = _neighbor_lists(pts, k)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cands) == t and nbr.shape == (t, k)
+    assert peak - kept <= 5 * 8 * t * k + 128 * tsp._KNN_BLOCK
 
 
 def golden_instance(name):
