@@ -132,7 +132,8 @@ class Square:
 
     def cell(self, m: int, k: int) -> "Square":
         """Sub-square k (row-major, bottom row first) of the m x m partition."""
-        if not 0 <= k < m * m:
+        m, k = _require_int("m", m, 1), _require_int("k", k, 0)
+        if k >= m * m:
             raise ValueError(f"cell index {k} out of range for m={m}")
         h = self.side / m
         row, col = divmod(k, m)
@@ -191,9 +192,17 @@ class PointSet:
         its edges are rounded: a point that :func:`cell_ids` puts in a cell
         can lie a few ulps outside that cell's square.  Such a point is moved
         onto the square's edge; one more than 1e-9 of the square's scale
-        outside it raises ``ValueError``.
+        outside it raises ``ValueError``.  Indices must be integers (not
+        bools) in [0, n); ``ValueError`` otherwise.
         """
-        coords = self.coords.take(np.asarray(indices, dtype=np.intp), axis=0)  # a fresh copy of finite points
+        n = len(self.coords)
+        indices = np.asarray(indices)
+        # one reduction: viewed unsigned, a negative index reads as past n
+        if indices.size and (
+            indices.dtype.kind not in "iu" or indices.astype(np.intp, copy=False).view(np.uintp).max() >= n
+        ):
+            raise ValueError(f"indices must be integers in [0, {n}), got {_brief(indices.tolist())}")
+        coords = self.coords.take(indices.astype(np.intp, copy=False), axis=0)  # a fresh copy of finite points
         if coords.ndim != 2:
             raise ValueError("coords must have shape (n, 2)")
         square = square or self.square

@@ -79,10 +79,10 @@ def fit_loglog_slope(samples: Sequence[tuple[float, float]]) -> RateFit:
     """Fit value ~ C * n^slope by least squares in log-log coordinates."""
     ns = np.array([s[0] for s in samples], dtype=np.float64)
     vals = np.array([s[1] for s in samples], dtype=np.float64)
-    if np.unique(ns).size < 2:
-        raise ValueError("need at least two distinct n values")
     if not np.all(np.isfinite(ns) & np.isfinite(vals) & (ns > 0) & (vals > 0)):
         raise ValueError("log-log fit requires positive finite n and values")
+    if len(set(ns.tolist())) < 2:  # np.unique would import numpy.ma
+        raise ValueError("need at least two distinct n values")
     x = np.log(ns)
     y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)

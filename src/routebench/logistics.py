@@ -106,6 +106,8 @@ def sdd_dispatch_tsp(
         raise ValueError("parameters must be positive (a may be zero)")
     if T_cutoff > T:
         raise ValueError("the order cutoff cannot exceed the deadline")
+    if T_cutoff < 0:
+        raise ValueError(f"T_cutoff must be nonnegative, got {T_cutoff!r}")
 
     times: list[float] = []
     loads: list[float] = []

@@ -25,6 +25,7 @@ from .core import (
     _group_by_cell,
     _require_count,
     _require_finite,
+    _require_int,
     latency_growth_constant,
     total_latency,
 )
@@ -171,7 +172,7 @@ def subpath_objective(subpaths: Sequence[WeightedSubpath], perm: Sequence[int]) 
     Position i contributes n_i / sqrt(density_i) times the number of points
     still waiting after it.
     """
-    perm = list(perm)
+    perm = [_require_int(f"perm[{i}]", p, 0) for i, p in enumerate(perm)]
     if sorted(perm) != list(range(len(subpaths))):
         raise ValueError("perm must be a permutation of the subpath indices")
     counts = [subpaths[p].n_visited for p in perm]

@@ -110,12 +110,11 @@ def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -
     has one candidate list, the points of the 5 x 5 cells around it, which
     all its points share.  Sorted by cell, the points of one row of those
     cells form one run, so a list is five runs, padded to the longest list.
-    Points are taken in cell order, in blocks of whole cells of about
-    ``_KNN_BLOCK`` distances, and only the block's own lists are built.  A
-    row is settled when its k-th distance is below the distance from the
-    point to the edge of its 5 x 5 cells.  An input too crowded for the grid
-    settles none: one whose fullest cell holds more than 4k points, or at
-    least t / 25.
+    Points are taken in cell order, in blocks of rows that hold at most
+    max(``_KNN_BLOCK``, longest list) distances, and only the lists of the
+    block's cells are built.  A row is settled when its k-th distance is
+    below the distance from the point to the edge of its 5 x 5 cells.  An
+    input whose fullest cell holds at least t / 25 points settles none.
     """
     t = len(pts)
     everyone = np.arange(t)
@@ -130,7 +129,7 @@ def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -
     cell = (colrow[:, 1] + 2) * gp + colrow[:, 0] + 2
     counts = np.bincount(cell, minlength=gp * gp)
     fullest = int(counts.max())
-    if 25 * fullest >= t or fullest > 4 * k:  # the lists below stay O(k) long
+    if 25 * fullest >= t:  # taking every point as a candidate costs no more
         return everyone
     order = np.argsort(cell, kind="stable")
     starts = np.concatenate(([0], np.cumsum(counts)))  # cell c's points are order[starts[c] : starts[c + 1]]
@@ -156,7 +155,7 @@ def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -
     z.real[:t], z.imag[:t], z[t] = pts[:, 0], pts[:, 1], _FAR
     z_own = z[order]
     rows = max(1, _KNN_BLOCK // width)
-    bounds = [*dict.fromkeys(starts[occupied][cell_of[::rows]].tolist()), t]  # whole cells
+    bounds = [*range(0, t, rows), t]
     own_nbr, own_d2s = np.empty_like(nbr), np.empty_like(d2s)  # rows in cell order
     for lo, hi in zip(bounds, bounds[1:]):
         c0, c1 = int(cell_of[lo]), int(cell_of[hi - 1]) + 1
@@ -184,9 +183,10 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
 
     Neighbours run nearest first, ties to the lower index.  Up to
     ``_SORT_MAX`` points, rows of the distance matrix are sorted in Python.
-    Above it a grid search settles most rows, and each other row takes all
-    points as candidates; :func:`_nearest` selects from both, in blocks of
-    about ``_KNN_BLOCK`` distances, so memory is O(t * k) plus one block.
+    Above it a grid search settles most rows, and each other row (every row
+    when one grid cell holds t / 25 points) takes all points as candidates;
+    :func:`_nearest` selects from both, in blocks of at most
+    max(``_KNN_BLOCK``, t) distances, so memory is O(t * k) plus one block.
     """
     t = len(pts)
     x, y = pts[:, 0], pts[:, 1]

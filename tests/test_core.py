@@ -302,6 +302,42 @@ class TestBucketCounts:
         with pytest.raises(ValueError, match="shape"):
             ps.subset(0)
 
+    # subset indices: integers in [0, n), no wrap-around, no cast, no mask
+    SUBSET_PS = PointSet.from_points([(0.1, 0.1), (0.2, 0.2), (0.3, 0.3), (0.4, 0.4), (0.5, 0.5)])
+
+    def test_subset_rejects_negative_index(self):
+        # used to return the last point
+        with pytest.raises(ValueError, match="indices"):
+            self.SUBSET_PS.subset([-1])
+
+    def test_subset_rejects_float_indices(self):
+        # used to be cast to points 0 and 1
+        with pytest.raises(ValueError, match="indices"):
+            self.SUBSET_PS.subset([0.0, 1.0])
+
+    def test_subset_rejects_boolean_mask(self):
+        # used to be read as indices 0 and 1, giving all five points
+        with pytest.raises(ValueError, match="indices"):
+            self.SUBSET_PS.subset(np.array([True, False, True, False, False]))
+
+    def test_subset_rejects_index_past_end(self):
+        # used to raise IndexError
+        with pytest.raises(ValueError, match="indices"):
+            self.SUBSET_PS.subset([99])
+
+    def test_subset_takes_integer_and_empty_selections(self):
+        ps = self.SUBSET_PS
+        assert ps.subset(np.array([4, 0], dtype=np.uint8)).coords.tolist() == [[0.5, 0.5], [0.1, 0.1]]
+        assert len(ps.subset([])) == len(ps.subset(np.array([], dtype=np.intp))) == 0
+
+    @pytest.mark.parametrize("m, k", [(2.5, 1), (2, 1.5)])
+    def test_cell_rejects_non_integer_arguments(self, m, k):
+        # cell(2.5, 1) used to return Square((0.4, 0.0), 0.4), and cell(2, 1.5)
+        # a square offset by half a cell
+        for call in (UNIT_SQUARE.cell, UNIT_SQUARE.cell_center):
+            with pytest.raises(ValueError, match="m must|k must"):
+                call(m, k)
+
 
 class TestLatencyGrowthConstant:
     def test_uniform_is_half_exactly(self):

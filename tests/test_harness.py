@@ -4,10 +4,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import routebench
 from routebench import (
     EXPERIMENT_KINDS,
     CapacityError,
@@ -63,6 +67,20 @@ class TestRateFit:
         # used to return a NaN fit, or raise LinAlgError after LAPACK wrote to stderr
         with pytest.raises(ValueError, match="finite"):
             fit_loglog_slope(samples)
+
+    def test_fit_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma (1.7 MB resident under numpy 2.4), which
+        # counting distinct sizes does not need; fit in a fresh interpreter and look
+        code = (
+            "import sys\n"
+            "from routebench import fit_loglog_slope\n"
+            "fit_loglog_slope([(10, 1.0), (20, 2.0), (20, 2.5), (40, 3.0)])\n"
+            "assert 'numpy.ma' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy.ma'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(routebench.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 # a population density spec that names no kind

@@ -108,6 +108,11 @@ class TestDispatchTsp:
         with pytest.raises(ValueError):
             sdd_dispatch_tsp(lam=1.0, a=1.0, T=5.0, m=2, T_cutoff=6.0)
 
+    def test_negative_cutoff_rejected(self):
+        # used to return a "feasible" plan with loads (0.0, 0.0)
+        with pytest.raises(ValueError, match="T_cutoff"):
+            sdd_dispatch_tsp(1.0, 0.5, 2.0, 2, T_cutoff=-1.0)
+
 
 class TestDispatchTrp:
     def test_boundary_example(self):

@@ -208,6 +208,11 @@ class TestSubpathOrdering:
         with pytest.raises(ValueError, match="n_visited|density"):
             WeightedSubpath(n_visited, density)
 
+    def test_float_permutation_entries_rejected(self):
+        # used to raise TypeError from indexing the subpaths with 0.0
+        with pytest.raises(ValueError, match=r"perm\[0\] must be an integer"):
+            subpath_objective(self.EXAMPLE[:2], [0.0, 1.0])
+
     def test_whole_float_visits_stored_as_int(self):
         path = WeightedSubpath(3.0, 4.0)
         assert path.n_visited == 3 and type(path.n_visited) is int

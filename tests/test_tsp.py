@@ -381,8 +381,8 @@ def test_nearest_kernel_matches_brute_force():
 
 def crowded_cell_points(t, k, rng):
     """t points of the unit square whose fullest cell in the candidate-list
-    grid (isqrt(t / 2) cells per side) holds exactly 4k points, the most
-    the grid search accepts."""
+    grid (isqrt(t / 2) cells per side) holds exactly 4k points, so the
+    candidate lists of the cells around it are long."""
     g = math.isqrt(t // 2)
     crowded = (np.array([g // 2, g // 2]) + 0.1 + 0.8 * rng.random((4 * k, 2))) / g
     rest = rng.random((3 * t, 2))
@@ -390,16 +390,26 @@ def crowded_cell_points(t, k, rng):
     return np.vstack([[(0.0, 0.0), (1.0, 1.0)], crowded, rest])  # the corners fix the grid's span
 
 
-@pytest.mark.parametrize("kind, t", [("uniform", 5000), ("uniform", 20000), ("clustered", 3000), ("crowded", 2000)])
+@pytest.mark.parametrize(
+    "kind, t",
+    [("uniform", 5000), ("uniform", 20000), ("clustered", 3000), ("crowded", 2000), ("lattice", 2000), ("clump", 2033)],
+)
 def test_candidate_lists_across_many_blocks(kind, t):
-    # inputs of many blocks of whole cells; the clustered one is too crowded
-    # for the grid and takes the dense fallback for every row
+    # inputs of many blocks of rows; the clustered one is too crowded for
+    # the grid and takes the dense fallback for every row, while a lattice
+    # of 36 evenly filled sites, or one small clump in uniform points,
+    # leaves the grid to settle nearly every row
     k = NEIGHBORS
     rng = np.random.default_rng(t)
     if kind == "uniform":
         pts = rng.random((t, 2))
     elif kind == "clustered":
         pts = np.vstack([rng.random((t // 2, 2)) * 0.01, rng.random((t - t // 2, 2))])
+    elif kind == "lattice":
+        sites = np.stack(np.meshgrid(np.arange(6), np.arange(6)), axis=-1).reshape(36, 2) / 5
+        pts = sites[rng.permutation(t) % 36]
+    elif kind == "clump":
+        pts = np.vstack([rng.random((2000, 2)), 0.5 + 0.001 * rng.random((t - 2000, 2))])
     else:
         pts = crowded_cell_points(t, k, rng)
         g = math.isqrt(t // 2)
@@ -425,17 +435,21 @@ def test_candidate_lists_memory_is_output_plus_one_block():
     # lists of t * k entries at 8 bytes (the distances, their roots, the
     # flat lists the pairs are zipped from, and the flat list of pairs)
     # and one block of _KNN_BLOCK candidates at 128 bytes each: 6.9 MB
-    # here.  Building every point's list at once holds about 52 MB more.
+    # here.  Building every point's list at once holds about 52 MB more,
+    # and blocks of whole cells around a 700-point clump hold 9.3 MB.
     t, k = 20000, NEIGHBORS
-    pts = np.random.default_rng(16).random((t, 2))
-    tracemalloc.start()
-    try:
-        nbr, cands = _neighbor_lists(pts, k)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(cands) == t and nbr.shape == (t, k)
-    assert peak - kept <= 5 * 8 * t * k + 128 * tsp._KNN_BLOCK
+    rng = np.random.default_rng(16)
+    uniform = rng.random((t, 2))
+    clump = np.vstack([rng.random((t - 700, 2)), 0.5 + 0.001 * rng.random((700, 2))])
+    for pts in (uniform, clump):
+        tracemalloc.start()
+        try:
+            nbr, cands = _neighbor_lists(pts, k)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cands) == t and nbr.shape == (t, k)
+        assert peak - kept <= 5 * 8 * t * k + 128 * tsp._KNN_BLOCK
 
 
 def golden_instance(name):
