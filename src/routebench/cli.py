@@ -223,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=EXPERIMENT_KINDS, help="run a built-in default config")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="processes that run trials, this one included; results do not depend on it",
+    )
     p.set_defaults(func=_cmd_experiment)
 
     return parser

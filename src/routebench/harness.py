@@ -23,7 +23,8 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import traceback
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
@@ -389,6 +390,66 @@ def _run_trial(payload) -> list[tuple[str, int, int, int, int, float]]:
     return [(kind + suffix, n, k, trial, stream, value) for suffix, value in pairs]
 
 
+def _run_share(payloads) -> list[tuple[str, int, int, int, int, float]]:
+    return [row for payload in payloads for row in _run_trial(payload)]
+
+
+def _share_child(payloads, conn) -> None:
+    """Run one share in a child process and send its rows, or its error, once."""
+    try:
+        message = (True, _run_share(payloads))
+    except BaseException as exc:  # every failure goes back to the caller
+        cause = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # it does not survive pickling
+            exc = RuntimeError(repr(exc))
+        message = (False, (exc, cause))
+    conn.send(message)
+    conn.close()
+
+
+def _run_shares(payloads, workers: int) -> list[tuple[str, int, int, int, int, float]]:
+    """Rows of all payloads, run in ``workers`` processes, the caller one of them.
+
+    Payload i runs in share i mod ``workers``.  The caller runs share 0; each
+    other nonempty share runs in one child process, which gets its share as
+    process arguments and sends all its rows back once through a pipe.
+    Every child is joined before this returns or raises, and when a share
+    fails, the children still running are terminated first.
+    """
+    import multiprocessing  # only multi-worker runs pay its import
+
+    children = []
+    try:
+        for i in range(1, min(workers, len(payloads))):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_share_child, args=(payloads[i::workers], send), name=f"share-{i}")
+            child.start()
+            send.close()  # the child holds the only write end, so its exit ends the pipe
+            children.append((child, recv))
+        rows = _run_share(payloads[::workers])
+        for child, recv in children:
+            try:
+                ok, result = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"{child.name} exited with code {child.exitcode} before sending its rows") from None
+            if not ok:
+                exc, cause = result
+                raise exc from RuntimeError(f"in {child.name}:\n{cause}")
+            rows += result
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    return rows
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     csv_path: str
@@ -416,14 +477,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for trial in range(cfg.trials)
     ]
 
-    if cfg.workers > 1:
-        chunk = max(1, len(payloads) // (cfg.workers * 8))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            batches = list(pool.map(_run_trial, payloads, chunksize=chunk))
-    else:
-        batches = [_run_trial(p) for p in payloads]
-
-    rows = sorted(row for batch in batches for row in batch)
+    rows = sorted(_run_shares(payloads, cfg.workers) if cfg.workers > 1 else _run_share(payloads))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.csv")

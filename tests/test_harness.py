@@ -1,12 +1,17 @@
 """Rate fitting, experiment orchestration, and CLI tests."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from routebench import (
     save_points_csv,
     strip_two_opt,
 )
+from routebench import harness
 from routebench.cli import main
 from routebench.core import stable_stream
 
@@ -217,6 +223,25 @@ def test_golden_outputs_per_kind(kind, tmp_path):
     report = run_experiment(cfg)
     assert hashlib.sha256(open(report.csv_path, "rb").read()).hexdigest() == csv_sha
     assert hashlib.sha256(open(report.summary_path, "rb").read()).hexdigest() == summary_sha
+
+
+def summary_at_one_worker(report, workers) -> bytes:
+    """The summary's bytes with the worker count in its config set to 1."""
+    text = Path(report.summary_path).read_bytes()
+    assert text.count(b'"workers": ') == 1
+    return text.replace(b'"workers": %d' % workers, b'"workers": 1')
+
+
+@pytest.mark.parametrize("workers", (2, 3))
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_golden_outputs_at_several_workers(kind, workers, tmp_path):
+    # the trials of share 0 run in this process and the others in children,
+    # so this also shows that fairness-audit's prepared mix reaches them
+    csv_sha, summary_sha, _ = GOLDEN_HASHES[kind]
+    cfg = dataclasses.replace(default_config(kind, 7, str(tmp_path), workers), **GOLDEN_SIZES[kind])
+    report = run_experiment(cfg)
+    assert hashlib.sha256(Path(report.csv_path).read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(summary_at_one_worker(report, workers)).hexdigest() == summary_sha
 
 
 class TestConfigValidation:
@@ -518,3 +543,128 @@ class TestCli:
         params.write_text(json.dumps({"m": 2.5}))
         assert main(["dispatch", "--mode", "trp", "--params", str(params), "--N", "10", "--T", "50"]) == 1
         assert main(["dispatch", "--mode", "tsp", "--params", str(params)]) == 1
+
+
+def replace_trial(monkeypatch, trial):
+    """Make each ktsp-rate trial call ``trial(n)`` first."""
+    kind = harness._KINDS["ktsp-rate"]
+
+    def wrapped(density, n, k, seed, context):
+        trial(n)
+        return kind.trial(density, n, k, seed, context)
+
+    monkeypatch.setitem(harness._KINDS, "ktsp-rate", dataclasses.replace(kind, trial=wrapped))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the test if the block runs longer than ``seconds``."""
+
+    def expire(_signum, _frame):
+        # pytest.fail, not TimeoutError: multiprocessing's wait for a child
+        # swallows an OSError, and TimeoutError is one
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="children see a monkeypatched trial only when forked"
+)
+
+
+class TestShares:
+    """Runs at several workers: payload i in share i mod workers, share 0 in this process."""
+
+    # three cells of one trial each on an uneven n grid: fewer trials per
+    # cell than workers, so the shares hold different cells
+    def uneven(self, tmp_path, workers):
+        return small_config(tmp_path, f"w{workers}", n_grid=(50, 100, 200), trials=1, workers=workers)
+
+    @pytest.mark.parametrize("workers", (2, 3, 4))
+    def test_same_bytes_at_every_worker_count(self, tmp_path, workers):
+        one = run_experiment(self.uneven(tmp_path, 1))
+        many = run_experiment(self.uneven(tmp_path, workers))
+        assert Path(many.csv_path).read_bytes() == Path(one.csv_path).read_bytes()
+        assert summary_at_one_worker(many, workers) == Path(one.summary_path).read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_child_trial_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        def trial(n):
+            if os.getpid() != caller:
+                raise ValueError(f"no route at n={n}")
+
+        replace_trial(monkeypatch, trial)
+        with deadline(60), pytest.raises(ValueError, match="^no route at n=100$") as info:
+            run_experiment(self.uneven(tmp_path, 2))  # share 1 holds only the n = 100 trial
+        assert "share-1" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_unpicklable_child_error_comes_back_as_runtime_error(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        class Local(Exception):  # a class local to a function does not pickle
+            pass
+
+        def trial(n):
+            if os.getpid() != caller:
+                raise Local("lost in transit")
+
+        replace_trial(monkeypatch, trial)
+        with deadline(60), pytest.raises(RuntimeError, match="Local.*lost in transit"):
+            run_experiment(self.uneven(tmp_path, 2))
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_child_that_exits_early_is_named(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        def trial(n):
+            if os.getpid() != caller:
+                os._exit(3)
+
+        replace_trial(monkeypatch, trial)
+        with deadline(60), pytest.raises(RuntimeError, match="share-1 exited with code 3"):
+            run_experiment(self.uneven(tmp_path, 2))
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_caller_error_stops_the_children(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        def trial(n):
+            if os.getpid() == caller:
+                raise ValueError("caller share failed")
+            time.sleep(60)
+
+        replace_trial(monkeypatch, trial)
+        t0 = time.perf_counter()
+        with deadline(30), pytest.raises(ValueError, match="caller share failed"):
+            run_experiment(self.uneven(tmp_path, 3))
+        assert time.perf_counter() - t0 < 20  # the sleeping children were terminated, not waited for
+        assert multiprocessing.active_children() == []
+
+    def test_import_loads_no_process_machinery(self, tmp_path):
+        # a one-worker run needs neither module; import and run in a fresh
+        # interpreter and look
+        code = (
+            "import sys\n"
+            "from routebench import ExperimentConfig, run_experiment\n"
+            f"run_experiment(ExperimentConfig('trp-rate', {{'kind': 'uniform', 'm': 1}}, (20, 40), 1, 3, {str(tmp_path)!r}))\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(routebench.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

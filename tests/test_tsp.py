@@ -452,6 +452,23 @@ def test_candidate_lists_memory_is_output_plus_one_block():
         assert peak - kept <= 5 * 8 * t * k + 128 * tsp._KNN_BLOCK
 
 
+def test_candidate_lists_on_a_rounded_lattice():
+    # uniform points rounded to 36 lattice sites: rounding fills the inner
+    # sites about twice as full as the edge ones (the fullest holds 96 of
+    # the 2000 points), which the grid still settles nearly all of
+    t, k = 2000, NEIGHBORS
+    pts = np.round(np.random.default_rng(2000).random((t, 2)) * 5) / 5
+    unsettled = tsp._grid_neighbors(pts, k, np.empty((t, k), dtype=np.int64), np.empty((t, k)))
+    assert len(unsettled) < t / 100
+    nbr, cands = _neighbor_lists(pts, k)
+    for i in range(t):
+        d2 = (pts[i, 0] - pts[:, 0]) ** 2 + (pts[i, 1] - pts[:, 1]) ** 2
+        d2[i] = np.inf
+        expected = np.argsort(d2, kind="stable")[:k]  # nearest first, ties to the lower index
+        assert nbr[i].tolist() == expected.tolist()
+        assert cands[i] == list(zip(expected.tolist(), np.sqrt(d2[expected]).tolist()))
+
+
 def golden_instance(name):
     """The point set and start route of one :class:`TestTwoOptGolden` case,
     named ``<kind>-<n>``."""
