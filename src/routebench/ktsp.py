@@ -146,8 +146,12 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     (closest pair, best middle point).  Larger k runs the Held-Karp dynamic
     program from every start point up to paths of k points: time
     O(n^2 * 2^n), memory n float64 per subset of at most k points and no
-    parent table.  :func:`_exact_budget` caps n: 1182 at k <= 3, 18 at k = 4.
-    Among paths of equal cost, the lowest-index predecessor wins at every step.
+    parent table.  Where its index blocks fit in the step-block bytes, as at
+    k = 4 from 9 points on and at every k taken on 18 points, the program
+    relaxes each state over its k - 1 live predecessors only and builds the
+    layers up to k alone (the live path of :func:`_held_karp`).
+    :func:`_exact_budget` caps n: 1182 at k <= 3, 18 at k = 4.  Among paths
+    of equal cost, the lowest-index predecessor wins at every step.
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", len(ps), k)

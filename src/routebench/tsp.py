@@ -514,14 +514,58 @@ def _steps(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return tuple(steps)
 
 
+def _live_bytes(n: int, stop: int) -> int:
+    """Bytes of the :func:`_live_steps` blocks of layers 2 to ``stop``: per
+    state of size s, 4 for its table index and 8 per live predecessor."""
+    return sum(s * math.comb(n, s) * (4 + 8 * (s - 1)) for s in range(2, stop + 1))
+
+
+@functools.lru_cache(maxsize=16)  # layers 2 to 7 of 18 points take 18.4 MB
+def _live_steps(n: int, s: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The states (mask, v) of subset size s >= 2 with their s - 1 live
+    predecessors u in mask - v, cut into blocks of at most ``_HK_BLOCK``
+    states.
+
+    A block holds, per state, its index ``v * C(n, s) + rank(mask)`` in the
+    flattened size-s table, and per predecessor, in increasing u, the index
+    ``u * C(n, s - 1) + rank(mask - v)`` in the flattened size s - 1 table
+    and ``u * n + v`` in the flattened (n, n) edge matrix.  The two
+    predecessor arrays are laid out (s - 1, block) and C-contiguous, so the
+    least sum per state is a reduction along axis 0.  All int32, 4 + 8 (s - 1)
+    bytes per state (:func:`_live_bytes`); every array is read-only, as the
+    cache shares them.
+    """
+    layers = _layers(n)
+    layer, below = layers[s], layers[s - 1]
+    holds = layer >> np.arange(n)[:, None] & 1  # holds[v, r]: mask r holds point v
+    member = holds.T.nonzero()[1].astype(np.int32).reshape(len(layer), s)  # each mask's points, increasing
+    out = np.flatnonzero(holds).astype(np.int32)  # the states, in table order
+    del holds
+    out.flags.writeable = False  # and so are its blocks, views of it
+    blocks = []
+    for lo in range(0, len(out), _HK_BLOCK):  # built a block at a time, to keep the peak low
+        v, r = np.divmod(out[lo : lo + _HK_BLOCK], len(layer))
+        u = member[r]
+        u = u[u != v[:, None]].reshape(len(r), s - 1).T
+        prev = u * len(below) + np.searchsorted(below, layer[r] ^ (1 << v))  # layers are sorted
+        via = u * n + v
+        block = (out[lo : lo + _HK_BLOCK], prev.astype(np.int32, order="C"), via.astype(np.int32, order="C"))
+        for a in block[1:]:
+            a.flags.writeable = False
+        blocks.append(block)
+    return tuple(blocks)
+
+
 def _require_budget(oracle: str, n: int, points: int, stop: int) -> None:
     """Raise ``CapacityError`` if ``oracle`` on n points needs more than
     ``EXACT_BUDGET`` bytes: 24 per pair for the distance matrix at its peak,
     plus, for Held-Karp over ``points`` points (0: none) up to paths of
     ``stop`` points, ``points`` float64 per subset of at most ``stop``
     points, the step blocks, the int64 masks and one block's candidate
-    sums.  The tables are summed only once the rest fits, at 18 points or
-    fewer, so a large input is refused at once."""
+    sums.  On :func:`_held_karp`'s live path the step-block term bounds the
+    live blocks, which that path takes only when they fit in it.  The
+    tables are summed only once the rest fits, at 18 points or fewer, so a
+    large input is refused at once."""
     need = 24 * n * n
     if points:
         p = min(points, 64)  # every term grows with p: past 64 points, a lower bound
@@ -542,11 +586,25 @@ def _held_karp(
     ``_layers(n)[s][r]`` that ends at v (inf for v outside that mask); a
     one-point path {v} costs ``start_cost[v]``, and the edge that grows a
     path to s points costs ``weights[s]`` times its length (1 without
-    ``weights``).  Tables exist up to s = ``stop``.  The states of size s
-    are relaxed in the blocks of :func:`_steps`, one numpy step per block:
-    state (mask, v) takes the least, over all n points u, of
-    ``cost[s - 1][u, rank(mask - v)]`` plus the weighted edge (u, v), where
-    u outside mask - v costs inf.  No parent is stored: see :func:`_path_to`.
+    ``weights``).  Tables exist up to s = ``stop``.  State (mask, v) takes
+    the least, over the points u of mask - v, of
+    ``cost[s - 1][u, rank(mask - v)]`` plus the weighted edge (u, v), one
+    numpy step per block of states, in one of two ways:
+
+    - the live path, when the :func:`_live_steps` blocks of layers 2 to
+      ``stop`` take no more bytes than the step blocks that
+      :func:`_require_budget` counts, 9n * 2^(n-1): each state gathers only
+      its s - 1 live predecessors, and :func:`_steps` is never built.  This
+      is the path of short paths over many points: ``ktsp_exact`` at k = 4
+      from 9 points on, at k <= 5 on 12 points, and at every k it takes on
+      18 points;
+    - otherwise the blocks of :func:`_steps`, which gather all n rows, u
+      outside mask - v costing inf.  At ``stop`` = n the live blocks would
+      hold n(n - 1) * 2^(n-2) indices, so ``tsp_exact`` and ``trp_exact``
+      above 2 points run here.
+
+    Both form the same sums and take the same minima, so the tables are the
+    same bit for bit.  No parent is stored: see :func:`_path_to`.
 
     Time O(n^2 * 2^n); memory n float64 per mask of at most ``stop`` points,
     the cached blocks, and 2n float64 per state of one block.
@@ -555,14 +613,22 @@ def _held_karp(
     cost = [np.full((n, len(layer)), np.inf) for layer in _layers(n)[: stop + 1]]
     points = np.arange(n)
     cost[1][points, points] = start_cost  # {v} is the v-th mask of size 1
-    steps = _steps(n)
+    live = _live_bytes(n, stop) <= 9 * (n << n) // 2
+    steps = None if live else _steps(n)
     for s in range(2, stop + 1):
         edge = dist if weights is None else dist * weights[s]  # edge[u, v]: the edge (u, v), weighted
         table = cost[s].reshape(-1)
-        for out, prev, last in steps[s]:
-            cand = cost[s - 1].take(prev, axis=1)
-            cand += edge.take(last, axis=1)
-            table[out] = np.minimum.reduce(cand, axis=0)
+        if live:
+            below, edge = cost[s - 1].reshape(-1), edge.reshape(-1)
+            for out, prev, via in _live_steps(n, s):
+                cand = below.take(prev)
+                cand += edge.take(via)
+                table[out] = np.minimum.reduce(cand, axis=0)
+        else:
+            for out, prev, last in steps[s]:
+                cand = cost[s - 1].take(prev, axis=1)
+                cand += edge.take(last, axis=1)
+                table[out] = np.minimum.reduce(cand, axis=0)
     return cost
 
 

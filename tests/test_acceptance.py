@@ -8,6 +8,7 @@ pin grids, trial counts, seeds, and thresholds.
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -38,6 +39,9 @@ from routebench import (
 )
 
 MASTER_SEED = 20240901
+# The module fixtures' experiments run in this many processes; results are
+# the same at every worker count, so only the suite's time depends on it.
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -52,22 +56,22 @@ def out_root(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def ktsp_report(out_root):
-    return run_experiment(default_config("ktsp-rate", MASTER_SEED, str(out_root / "ktsp-rate")))
+    return run_experiment(default_config("ktsp-rate", MASTER_SEED, str(out_root / "ktsp-rate"), WORKERS))
 
 
 @pytest.fixture(scope="module")
 def trp_rate_report(out_root):
-    return run_experiment(default_config("trp-rate", MASTER_SEED, str(out_root / "trp-rate")))
+    return run_experiment(default_config("trp-rate", MASTER_SEED, str(out_root / "trp-rate"), WORKERS))
 
 
 @pytest.fixture(scope="module")
 def trp_factor_report(out_root):
-    return run_experiment(default_config("trp-factor", MASTER_SEED, str(out_root / "trp-factor")))
+    return run_experiment(default_config("trp-factor", MASTER_SEED, str(out_root / "trp-factor"), WORKERS))
 
 
 @pytest.fixture(scope="module")
 def tail_report(out_root):
-    return run_experiment(default_config("tail-dominance", MASTER_SEED, str(out_root / "tail")))
+    return run_experiment(default_config("tail-dominance", MASTER_SEED, str(out_root / "tail"), WORKERS))
 
 
 def test_c01_ktsp_rate_slopes(ktsp_report):

@@ -21,7 +21,7 @@ from routebench import (
     route_length,
     sample_points,
 )
-from routebench import ktsp
+from routebench import ktsp, tsp
 from routebench.ktsp import _grid_resolution
 
 
@@ -173,6 +173,23 @@ class TestExactOracle:
         for n, k in ((19, 4), (18, 8)):
             with pytest.raises(CapacityError, match=f"ktsp_exact at k = {k} on {n} points"):
                 ktsp_exact(sample_points(GridDensity.uniform(1), n, RandomSeed(10)), k)
+
+    @pytest.mark.parametrize("n,k", [(18, 4), (18, 7), (12, 5)])
+    def test_live_path_builds_no_step_blocks(self, monkeypatch, n, k):
+        def no_steps(n):
+            raise AssertionError("step blocks built on the live path")
+
+        monkeypatch.setattr(tsp, "_steps", no_steps)
+        ps = sample_points(GridDensity.uniform(1), n, RandomSeed(12, n))
+        result = ktsp_exact(ps, k)
+        assert len(result.route) == k and result.length == route_length(result.route, ps)
+
+    def test_longer_paths_keep_the_step_blocks(self, monkeypatch):
+        # at 12 points and k = 6 the live blocks would outgrow the step blocks
+        built, steps = [], tsp._steps
+        monkeypatch.setattr(tsp, "_steps", lambda m: built.append(m) or steps(m))
+        ktsp_exact(sample_points(GridDensity.uniform(1), 12, RandomSeed(12)), 6)
+        assert built == [12]
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_closed_form_budget_cap(self, monkeypatch, k):

@@ -29,6 +29,8 @@ from routebench.tsp import (
     _distance_matrix,
     _held_karp,
     _layers,
+    _live_bytes,
+    _live_steps,
     _nearest,
     _neighbor_lists,
     _path_to,
@@ -596,6 +598,19 @@ class TestExactTour:
         assert sum(a.nbytes for a in arrays) == sum(b.nbytes for b in buffers.values()) <= 9 * states
         assert not any(a.flags.writeable for a in arrays)
 
+    def test_live_cache_footprint(self):
+        # the live blocks of 18 points up to paths of 7, the most ktsp_exact
+        # takes there: read-only, contiguous, and within the step-block bytes
+        # that _require_budget counts for 18 points
+        n, stop = 18, 7
+        blocks = [block for s in range(2, stop + 1) for block in _live_steps(n, s)]
+        arrays = [a for block in blocks for a in block]
+        buffers = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
+        assert sum(a.nbytes for a in arrays) == sum(b.nbytes for b in buffers.values()) == _live_bytes(n, stop)
+        assert _live_bytes(n, stop) <= 9 * (n << n) // 2 < _live_bytes(n, stop + 1)
+        assert not any(a.flags.writeable for a in arrays)
+        assert all(len(out) <= _HK_BLOCK and prev.flags.c_contiguous and via.flags.c_contiguous for out, prev, via in blocks)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 12])
     def test_step_blocks_cover_each_state_once(self, n):
         layers = _layers(n)
@@ -611,10 +626,13 @@ class TestExactTour:
 
     @pytest.mark.parametrize("kind", ["random", "lattice", "stacked"])
     @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("n,stop", [(2, 2), (5, 5), (7, 4), (8, 8), (8, 6)])
-    def test_kernel_matches_reference(self, kind, weighted, n, stop):
+    @pytest.mark.parametrize("n,stop", [(2, 2), (5, 5), (7, 4), (8, 8), (8, 6), (9, 4), (12, 5)])
+    def test_kernel_matches_reference(self, monkeypatch, kind, weighted, n, stop):
         # every state's cost bit for bit, and every final state's path is
-        # the chain of lowest-index parents
+        # the chain of lowest-index parents; (2, 2), (9, 4) and (12, 5) take
+        # the live path, the other cases the step blocks
+        built = []
+        monkeypatch.setattr(tsp, "_steps", lambda m: built.append(m) or _steps(m))
         if kind == "random":
             ps = sample_points(GridDensity.uniform(1), n, RandomSeed(604, n))
         elif kind == "lattice":  # integer points, many equal distances
@@ -626,6 +644,7 @@ class TestExactTour:
         start = dist[0] + 0.5  # one-point paths of unequal cost
         cost, parent = reference_held_karp(dist, start, stop, weights)
         tables = _held_karp(dist, start, stop, weights)
+        assert built == ([] if (n, stop) in ((2, 2), (9, 4), (12, 5)) else [n])
         assert len(tables) == stop + 1
         for s, layer in enumerate(_layers(n)[: stop + 1]):
             expected = np.full((n, len(layer)), np.inf)
