@@ -145,13 +145,11 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     k = 2 and k = 3 are solved in closed form from the distance matrix
     (closest pair, best middle point).  Larger k runs the Held-Karp dynamic
     program from every start point up to paths of k points: time
-    O(n^2 * 2^n), memory n float64 per subset of at most k points and no
-    parent table.  Where its index blocks fit in the step-block bytes, as at
-    k = 4 from 9 points on and at every k taken on 18 points, the program
-    relaxes each state over its k - 1 live predecessors only and builds the
-    layers up to k alone (the live path of :func:`_held_karp`).
-    :func:`_exact_budget` caps n: 1182 at k <= 3, 18 at k = 4.  Among paths
-    of equal cost, the lowest-index predecessor wins at every step.
+    O(n^2 * 2^n), memory 16 bytes per (subset, last point) state of at
+    most k points, 8 per subset mask and no parent table.
+    :func:`_exact_budget` caps n: 1182 at k <= 3, 21 at k = 4 to 6, 20 at
+    k = 7, 19 at k = 8.  Among paths of equal cost, the lowest-index
+    predecessor wins at every step.
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", len(ps), k)
@@ -170,8 +168,10 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     cost = _held_karp(dist, np.zeros(n), k)
     # among ties the lowest mask, then the highest last point: of a path and
     # its reverse at equal cost, the one starting at the lower index
-    flat = int(np.argmin(cost[k].T[:, ::-1]))
-    order = _path_to(cost, dist, int(_layers(n)[k][flat // n]), n - 1 - flat % n)
+    r = int(np.argmin(cost[k].min(axis=0)))
+    j = k - 1 - int(np.argmin(cost[k][::-1, r]))
+    mask = int(_layers(n)[k][r])
+    order = _path_to(cost, dist, mask, [v for v in range(n) if mask >> v & 1][j])
     route = Route._of(tuple(order), closed=False)
     return KtspResult(route, route_length(route, ps), 0, None)
 

@@ -150,9 +150,10 @@ def trp_exact(ps: PointSet) -> TrpResult:
 
     Held-Karp dynamic program over (visited set, last) from every start
     point; extending a partial order of size s charges the new edge (n - s)
-    times.  Time O(n^2 * 2^n), memory n * 2^n float64 and no parent table;
-    :func:`~routebench.tsp._require_budget` refuses n > 17.  Among orders of
-    equal cost, the lowest-index predecessor wins at every step.
+    times.  Time O(n^2 * 2^n), memory 16 bytes per (subset, last) state
+    and no parent table; :func:`~routebench.tsp._require_budget` refuses
+    n > 17.  Among orders of equal cost, the lowest-index predecessor wins
+    at every step.
     """
     n = len(ps)
     _require_budget("trp_exact", n, n, n)

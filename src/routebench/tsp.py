@@ -36,8 +36,8 @@ _GRID_MIN = 136
 _KNN_BLOCK = 1 << 12
 # A key past every candidate in _nearest, and a point past every other.
 _FAR = complex(math.inf, math.inf)
-# Held-Karp states relaxed per numpy step.
-_HK_BLOCK = 1 << 11
+# Held-Karp candidate sums per numpy step.
+_HK_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -
     max(``_KNN_BLOCK``, longest list) distances, and only the lists of the
     block's cells are built.  A row is settled when its k-th distance is
     below the distance from the point to the edge of its 5 x 5 cells.  An
-    input of fewer than ``_GRID_MIN`` points, or whose fullest cell holds
-    at least half of them, settles none.
+    input of fewer than ``_GRID_MIN`` points, or of points all at one spot,
+    settles none; however full its fullest cell, any other uses the grid.
     """
     t = len(pts)
     everyone = np.arange(t)
@@ -132,8 +132,6 @@ def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -
     gp = g + 4  # two cells of empty padding on every side
     cell = (colrow[:, 1] + 2) * gp + colrow[:, 0] + 2
     counts = np.bincount(cell, minlength=gp * gp)
-    if 2 * int(counts.max()) >= t:  # every list, padded to that cell's, holds half the points
-        return everyone
     order = np.argsort(cell, kind="stable")
     starts = np.concatenate(([0], np.cumsum(counts)))  # cell c's points are order[starts[c] : starts[c + 1]]
     occupied = np.flatnonzero(counts)
@@ -187,10 +185,9 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
     Neighbours run nearest first, ties to the lower index.  Up to
     ``_SORT_MAX`` points, rows of the distance matrix are sorted in Python.
     From ``_GRID_MIN`` points on a grid search settles most rows, and each
-    other row (every row when one grid cell holds half the points) takes
-    all points as candidates; :func:`_nearest` selects from both, in blocks
-    of at most max(``_KNN_BLOCK``, t) distances, so memory is O(t * k) plus
-    one block.
+    other row takes all points as candidates; :func:`_nearest` selects from
+    both, in blocks of at most max(``_KNN_BLOCK``, t) distances, so memory
+    is O(t * k) plus one block.
     """
     t = len(pts)
     x, y = pts[:, 0], pts[:, 1]
@@ -477,101 +474,61 @@ def _distance_matrix(ps: PointSet) -> np.ndarray:
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
-@functools.lru_cache(maxsize=8)  # the sizes used last: the step blocks of 17 points take 10 MB
+@functools.lru_cache(maxsize=8)
 def _layers(n: int) -> tuple[np.ndarray, ...]:
     """The subsets of n points as bitmasks, grouped by size: entry s holds
-    every mask of popcount s in increasing order."""
-    pc = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        pc = np.concatenate([pc, pc + 1])  # popcount(m + 2^b) = popcount(m) + 1
-    masks = np.argsort(pc, kind="stable")
-    masks.flags.writeable = False  # cached and shared by every caller
-    return tuple(np.split(masks, np.cumsum(np.bincount(pc))[:-1]))
+    every mask of popcount s in increasing order, 8 bytes per mask and no
+    more while they are built."""
+    layers = [np.zeros(math.comb(n, s), dtype=np.int64) for s in range(n + 1)]
+    # the masks of size s below 2^(b+1): those below 2^b, then 2^b plus those of size s - 1
+    for b in range(n):
+        for s in range(1, b + 2):
+            lo, new = math.comb(b, s), math.comb(b, s - 1)
+            np.add(layers[s - 1][:new], 1 << b, out=layers[s][lo : lo + new])
+    for layer in layers:
+        layer.flags.writeable = False  # cached and shared by every caller
+    return tuple(layers)
 
 
-@functools.lru_cache(maxsize=8)
-def _steps(n: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], ...]:
-    """The states (mask, v) of each subset size s, with v a point in the
-    mask, cut into blocks of at most ``_HK_BLOCK`` states.
+@functools.lru_cache(maxsize=64)  # 55 pairs (n, s) cover every size over 10 to 14 points
+def _states(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states of subset size s >= 2 over n points, laid out as the
+    size-s table: entry (j, r) is the r-th mask of ``_layers(n)[s]`` ending
+    at its j-th point, points in increasing order.
 
-    A block holds, per state, its index ``v * C(n, s) + rank(mask)`` in the
-    flattened size-s table and the rank of mask - v among the masks of size
-    s - 1 (int32), and v (int8): 9 bytes per state and n * 2^(n-1) states in
-    all, 1.03 MB at n = 14.  Every array is read-only, as the cache shares them.
-    """
-    layers = _layers(n)
-    steps = []
-    for s, layer in enumerate(layers):
-        cols = [np.flatnonzero(layer >> v & 1) for v in range(n)]  # ranks of the masks holding v
-        out = np.concatenate([v * len(layer) + r for v, r in enumerate(cols)]).astype(np.int32)
-        prev = np.concatenate([layer[r] ^ (1 << v) for v, r in enumerate(cols)])
-        prev = np.searchsorted(layers[s - 1], prev).astype(np.int32)  # layers are sorted
-        last = np.repeat(np.arange(n, dtype=np.int8), [len(r) for r in cols])
-        for a in (out, prev, last):
-            a.flags.writeable = False  # and so are the blocks, views of them
-        cuts = range(_HK_BLOCK, len(out), _HK_BLOCK)
-        steps.append(tuple(zip(np.split(out, cuts), np.split(prev, cuts), np.split(last, cuts))))
-    return tuple(steps)
-
-
-def _live_bytes(n: int, stop: int) -> int:
-    """Bytes of the :func:`_live_steps` blocks of layers 2 to ``stop``: per
-    state of size s, 4 for its table index and 8 per live predecessor."""
-    return sum(s * math.comb(n, s) * (4 + 8 * (s - 1)) for s in range(2, stop + 1))
-
-
-@functools.lru_cache(maxsize=16)  # layers 2 to 7 of 18 points take 18.4 MB
-def _live_steps(n: int, s: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The states (mask, v) of subset size s >= 2 with their s - 1 live
-    predecessors u in mask - v, cut into blocks of at most ``_HK_BLOCK``
-    states.
-
-    A block holds, per state, its index ``v * C(n, s) + rank(mask)`` in the
-    flattened size-s table, and per predecessor, in increasing u, the index
-    ``u * C(n, s - 1) + rank(mask - v)`` in the flattened size s - 1 table
-    and ``u * n + v`` in the flattened (n, n) edge matrix.  The two
-    predecessor arrays are laid out (s - 1, block) and C-contiguous, so the
-    least sum per state is a reduction along axis 0.  All int32, 4 + 8 (s - 1)
-    bytes per state (:func:`_live_bytes`); every array is read-only, as the
-    cache shares them.
+    Returns two (s, C(n, s)) int32 arrays, 8 bytes per state: each state's
+    point times n, and the rank of its mask less that point among the
+    masks of size s - 1.  Both are read-only, as the cache shares them.
     """
     layers = _layers(n)
     layer, below = layers[s], layers[s - 1]
-    holds = layer >> np.arange(n)[:, None] & 1  # holds[v, r]: mask r holds point v
-    member = holds.T.nonzero()[1].astype(np.int32).reshape(len(layer), s)  # each mask's points, increasing
-    out = np.flatnonzero(holds).astype(np.int32)  # the states, in table order
-    del holds
-    out.flags.writeable = False  # and so are its blocks, views of it
-    blocks = []
-    for lo in range(0, len(out), _HK_BLOCK):  # built a block at a time, to keep the peak low
-        v, r = np.divmod(out[lo : lo + _HK_BLOCK], len(layer))
-        u = member[r]
-        u = u[u != v[:, None]].reshape(len(r), s - 1).T
-        prev = u * len(below) + np.searchsorted(below, layer[r] ^ (1 << v))  # layers are sorted
-        via = u * n + v
-        block = (out[lo : lo + _HK_BLOCK], prev.astype(np.int32, order="C"), via.astype(np.int32, order="C"))
-        for a in block[1:]:
-            a.flags.writeable = False
-        blocks.append(block)
-    return tuple(blocks)
+    scaled = np.empty((s, len(layer)), dtype=np.int32)
+    prev = np.empty_like(scaled)
+    j = np.zeros(len(layer), dtype=np.intp)  # per mask, its points seen so far
+    for v in range(n):
+        r = np.flatnonzero(layer >> v & 1)
+        scaled[j[r], r] = v * n
+        prev[j[r], r] = np.searchsorted(below, layer[r] ^ (1 << v))  # layers are sorted
+        j[r] += 1
+    scaled.flags.writeable = prev.flags.writeable = False
+    return scaled, prev
 
 
 def _require_budget(oracle: str, n: int, points: int, stop: int) -> None:
-    """Raise ``CapacityError`` if ``oracle`` on n points needs more than
-    ``EXACT_BUDGET`` bytes: 24 per pair for the distance matrix at its peak,
-    plus, for Held-Karp over ``points`` points (0: none) up to paths of
-    ``stop`` points, ``points`` float64 per subset of at most ``stop``
-    points, the step blocks, the int64 masks and one block's candidate
-    sums.  On :func:`_held_karp`'s live path the step-block term bounds the
-    live blocks, which that path takes only when they fit in it.  The
-    tables are summed only once the rest fits, at 18 points or fewer, so a
-    large input is refused at once."""
+    """Raise ``CapacityError`` if ``oracle`` on n points may hold more than
+    ``EXACT_BUDGET`` bytes at once: 24 per pair for the distance matrix at
+    its peak, plus, for Held-Karp over ``points`` points (0: none) up to
+    paths of ``stop`` points, 8 bytes per state in the tables and 8 more
+    per state of sizes 2 to ``stop`` in the :func:`_states` index, 8 per
+    mask of :func:`_layers`, 32 per mask of the widest size indexed (what
+    a :func:`_states` build holds while it runs) and 32 per candidate sum
+    of one block.  That is the peak of a call with cold caches, or more."""
     need = 24 * n * n
     if points:
         p = min(points, 64)  # every term grows with p: past 64 points, a lower bound
-        need += 9 * (p << p) // 2 + (8 << p) + 16 * p * _HK_BLOCK
-        if need <= EXACT_BUDGET:
-            need += 8 * p * sum(math.comb(p, s) for s in range(stop + 1))
+        states = sum(s * math.comb(p, s) for s in range(2, stop + 1))
+        widest = math.comb(p, min(stop, p // 2))  # the most masks of one size up to stop
+        need += 8 * p + 16 * states + (8 << p) + 32 * widest + 32 * _HK_BLOCK
     if need > EXACT_BUDGET:
         mib = f"{need / 2**20:.4g} MiB, over the {EXACT_BUDGET >> 20} MiB budget"
         raise CapacityError(f"{oracle} on {n} points needs {mib}")
@@ -582,53 +539,42 @@ def _held_karp(
 ) -> list[np.ndarray]:
     """Held-Karp subset dynamic program over (visited set, last point).
 
-    ``cost[s][v, r]`` is the cheapest path through exactly the points of
-    ``_layers(n)[s][r]`` that ends at v (inf for v outside that mask); a
-    one-point path {v} costs ``start_cost[v]``, and the edge that grows a
-    path to s points costs ``weights[s]`` times its length (1 without
-    ``weights``).  Tables exist up to s = ``stop``.  State (mask, v) takes
-    the least, over the points u of mask - v, of
-    ``cost[s - 1][u, rank(mask - v)]`` plus the weighted edge (u, v), one
-    numpy step per block of states, in one of two ways:
+    ``cost[s]`` has shape (s, C(n, s)): entry (j, r) is the cheapest path
+    through exactly the points of mask ``_layers(n)[s][r]`` that ends at
+    that mask's j-th point, points in increasing order.  A one-point path
+    {v} costs ``start_cost[v]``, and the edge that grows a path to s points
+    costs ``weights[s]`` times its length (1 without ``weights``).  Tables
+    exist up to s = ``stop``.
 
-    - the live path, when the :func:`_live_steps` blocks of layers 2 to
-      ``stop`` take no more bytes than the step blocks that
-      :func:`_require_budget` counts, 9n * 2^(n-1): each state gathers only
-      its s - 1 live predecessors, and :func:`_steps` is never built.  This
-      is the path of short paths over many points: ``ktsp_exact`` at k = 4
-      from 9 points on, at k <= 5 on 12 points, and at every k it takes on
-      18 points;
-    - otherwise the blocks of :func:`_steps`, which gather all n rows, u
-      outside mask - v costing inf.  At ``stop`` = n the live blocks would
-      hold n(n - 1) * 2^(n-2) indices, so ``tsp_exact`` and ``trp_exact``
-      above 2 points run here.
+    The s - 1 predecessors of state (j, r) are the whole column
+    ``cost[s - 1][:, rank(mask - point j)]``, its i-th entry reached over
+    the edge from the mask's i-th point other than its j-th.  One numpy
+    step per block of whole masks, about ``_HK_BLOCK`` candidate sums,
+    gathers those columns and edges through the :func:`_states` index into
+    an (s - 1, s, block) array and takes its minimum along axis 0.  No
+    parent is stored: see :func:`_path_to`.
 
-    Both form the same sums and take the same minima, so the tables are the
-    same bit for bit.  No parent is stored: see :func:`_path_to`.
-
-    Time O(n^2 * 2^n); memory n float64 per mask of at most ``stop`` points,
-    the cached blocks, and 2n float64 per state of one block.
+    Time O(n^2 * 2^n); memory 8 bytes per state of sizes up to ``stop``
+    for the tables, 8 per state for the cached index, and one block.
     """
     n = len(start_cost)
-    cost = [np.full((n, len(layer)), np.inf) for layer in _layers(n)[: stop + 1]]
-    points = np.arange(n)
-    cost[1][points, points] = start_cost  # {v} is the v-th mask of size 1
-    live = _live_bytes(n, stop) <= 9 * (n << n) // 2
-    steps = None if live else _steps(n)
+    layers = _layers(n)
+    cost = [np.empty((s, len(layer))) for s, layer in enumerate(layers[: stop + 1])]
+    cost[1][0] = start_cost  # {v} is the v-th mask of size 1
     for s in range(2, stop + 1):
-        edge = dist if weights is None else dist * weights[s]  # edge[u, v]: the edge (u, v), weighted
-        table = cost[s].reshape(-1)
-        if live:
-            below, edge = cost[s - 1].reshape(-1), edge.reshape(-1)
-            for out, prev, via in _live_steps(n, s):
-                cand = below.take(prev)
-                cand += edge.take(via)
-                table[out] = np.minimum.reduce(cand, axis=0)
-        else:
-            for out, prev, last in steps[s]:
-                cand = cost[s - 1].take(prev, axis=1)
-                cand += edge.take(last, axis=1)
-                table[out] = np.minimum.reduce(cand, axis=0)
+        # edge[u * n + v]: the edge (u, v), weighted
+        edge = (dist if weights is None else dist * weights[s]).reshape(-1)
+        scaled, prev = _states(n, s)
+        rows = np.arange(s - 1)[:, None]
+        other = rows + (rows >= np.arange(s))  # other[i, j]: the i-th point of a mask other than its j-th
+        width = max(1, _HK_BLOCK // (s * (s - 1)))  # masks per step
+        for lo in range(0, len(layers[s]), width):
+            at = scaled[:, lo : lo + width]
+            cand = cost[s - 1].take(prev[:, lo : lo + width], axis=1)
+            via = at.take(other, axis=0)
+            via += at // n
+            cand += edge.take(via)
+            np.minimum.reduce(cand, axis=0, out=cost[s][:, lo : lo + width])
     return cost
 
 
@@ -638,15 +584,18 @@ def _path_to(
     """The optimal path of state (mask, last) in the tables that
     :func:`_held_karp` built from ``dist`` and ``weights``, first point first.
 
-    Each step back forms the state's candidate sums as the kernel did and
-    takes the first least one, the lowest-index predecessor.
+    Each step back forms the state's candidate sums as the kernel did, over
+    the points of mask - last in increasing order, and takes the first
+    least one, the lowest-index predecessor.
     """
-    layers = _layers(len(dist))
+    n = len(dist)
+    layers = _layers(n)
     order = [last]
     for s in range(bin(mask).count("1"), 1, -1):
         mask ^= 1 << last
-        edge = dist[:, last] if weights is None else dist[:, last] * weights[s]
-        last = int(np.argmin(cost[s - 1][:, np.searchsorted(layers[s - 1], mask)] + edge))
+        points = np.flatnonzero(mask >> np.arange(n) & 1)  # the rows of cost[s - 1], increasing
+        edge = dist[points, last] if weights is None else dist[points, last] * weights[s]
+        last = int(points[np.argmin(cost[s - 1][:, np.searchsorted(layers[s - 1], mask)] + edge)])
         order.append(last)
     order.reverse()
     return order
@@ -657,10 +606,10 @@ def tsp_exact(ps: PointSet) -> TspResult:
 
     Point 0 anchors the tour (cyclic symmetry makes this lossless), so the
     program runs over the other n - 1 points with paths starting one edge
-    away from it.  Time O(n^2 * 2^n), memory n * 2^n float64 over those
-    n - 1 points and no parent table; :func:`_require_budget` refuses
-    n > 18.  Among tours of equal cost, the lowest-index predecessor wins at
-    every step.
+    away from it.  Time O(n^2 * 2^n), memory 16 bytes per (subset, last
+    point) state of those n - 1 points and no parent table;
+    :func:`_require_budget` refuses n > 18.  Among tours of equal cost, the
+    lowest-index predecessor wins at every step.
     """
     n = len(ps)
     if n < 1:

@@ -273,13 +273,13 @@ class TestConfigValidation:
             dataclasses.replace(default_config("trp-factor"), k_grid=(2,))
 
     def test_tail_dominance_beyond_exact_cap(self):
-        cfg = default_config("tail-dominance")  # n = 50, above ktsp_exact's cap of 18 at k = 4
+        cfg = default_config("tail-dominance")  # n = 50, above ktsp_exact's cap of 21 at k = 4
         with pytest.raises(ValueError):
             dataclasses.replace(cfg, k_grid=(2, 4))
         dataclasses.replace(cfg, n_grid=(12,), k_grid=(4,))
-        dataclasses.replace(cfg, n_grid=(18,), k_grid=(4,))  # at the cap
+        dataclasses.replace(cfg, n_grid=(21,), k_grid=(4,))  # at the cap
         with pytest.raises(CapacityError):
-            dataclasses.replace(cfg, n_grid=(19,), k_grid=(4,))
+            dataclasses.replace(cfg, n_grid=(22,), k_grid=(4,))
 
     def test_workers_below_one(self, tmp_path):
         for workers in (0, -3):

@@ -142,7 +142,7 @@ class TestExactOracle:
         assert all(a <= b + 1e-12 for a, b in zip(lengths, lengths[1:]))
 
     def test_capacity_error_large_k(self):
-        ps = sample_points(GridDensity.uniform(1), 20, RandomSeed(8))
+        ps = sample_points(GridDensity.uniform(1), 22, RandomSeed(8))
         with pytest.raises(CapacityError):
             ktsp_exact(ps, 5)
         # closed-form paths stay available above the DP cap
@@ -160,8 +160,8 @@ class TestExactOracle:
             ktsp_exact(ps, 4)
 
     def test_budget_cap(self, monkeypatch):
-        # the 32 MiB budget takes 18 points at k = 4 (23 MiB), 17 at k = 8
-        ps = sample_points(GridDensity.uniform(1), 18, RandomSeed(10))
+        # the 32 MiB budget takes 21 points at k = 4 (17 MiB), 19 at k = 8
+        ps = sample_points(GridDensity.uniform(1), 21, RandomSeed(10))
         result = ktsp_exact(ps, 4)
         assert len(result.route) == 4 and not result.route.closed
         assert result.length == route_length(result.route, ps)
@@ -170,26 +170,9 @@ class TestExactOracle:
             raise AssertionError("distance matrix built above the cap")
 
         monkeypatch.setattr(ktsp, "_distance_matrix", no_matrix)
-        for n, k in ((19, 4), (18, 8)):
+        for n, k in ((22, 4), (20, 8)):
             with pytest.raises(CapacityError, match=f"ktsp_exact at k = {k} on {n} points"):
                 ktsp_exact(sample_points(GridDensity.uniform(1), n, RandomSeed(10)), k)
-
-    @pytest.mark.parametrize("n,k", [(18, 4), (18, 7), (12, 5)])
-    def test_live_path_builds_no_step_blocks(self, monkeypatch, n, k):
-        def no_steps(n):
-            raise AssertionError("step blocks built on the live path")
-
-        monkeypatch.setattr(tsp, "_steps", no_steps)
-        ps = sample_points(GridDensity.uniform(1), n, RandomSeed(12, n))
-        result = ktsp_exact(ps, k)
-        assert len(result.route) == k and result.length == route_length(result.route, ps)
-
-    def test_longer_paths_keep_the_step_blocks(self, monkeypatch):
-        # at 12 points and k = 6 the live blocks would outgrow the step blocks
-        built, steps = [], tsp._steps
-        monkeypatch.setattr(tsp, "_steps", lambda m: built.append(m) or steps(m))
-        ktsp_exact(sample_points(GridDensity.uniform(1), 12, RandomSeed(12)), 6)
-        assert built == [12]
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_closed_form_budget_cap(self, monkeypatch, k):

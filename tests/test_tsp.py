@@ -24,17 +24,14 @@ from routebench import (
 )
 from routebench import tsp
 from routebench.tsp import (
-    _HK_BLOCK,
     NEIGHBORS,
     _distance_matrix,
     _held_karp,
     _layers,
-    _live_bytes,
-    _live_steps,
     _nearest,
     _neighbor_lists,
     _path_to,
-    _steps,
+    _states,
 )
 
 UNIT_CORNERS = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -397,10 +394,10 @@ def crowded_cell_points(t, k, rng):
     [("uniform", 5000), ("uniform", 20000), ("clustered", 3000), ("crowded", 2000), ("lattice", 2000), ("clump", 2033)],
 )
 def test_candidate_lists_across_many_blocks(kind, t):
-    # inputs of many blocks of rows; the clustered one is too crowded for
-    # the grid and takes the dense fallback for every row, while a lattice
-    # of 36 evenly filled sites, or one small clump in uniform points,
-    # leaves the grid to settle nearly every row
+    # inputs of many blocks of rows; the grid settles nearly every row, of
+    # a lattice of 36 evenly filled sites or one small clump in uniform
+    # points too, and all but 51 of the clustered one's (half its points
+    # in one cell)
     k = NEIGHBORS
     rng = np.random.default_rng(t)
     if kind == "uniform":
@@ -418,7 +415,7 @@ def test_candidate_lists_across_many_blocks(kind, t):
         cells = np.minimum(np.floor(pts * g).astype(int), g - 1)
         assert np.unique(cells, axis=0, return_counts=True)[1].max() == 4 * k
     unsettled = tsp._grid_neighbors(pts, k, np.empty((t, k), dtype=np.int64), np.empty((t, k)))
-    assert len(unsettled) == t if kind == "clustered" else len(unsettled) < t / 100
+    assert len(unsettled) < (t / 50 if kind == "clustered" else t / 100)
     nbr, cands = _neighbor_lists(pts, k)
     rows = rng.choice(t, 200, replace=False)
     if kind == "crowded":
@@ -588,51 +585,32 @@ class TestExactTour:
         with pytest.raises(CapacityError, match="tsp_exact on 19 points"):
             tsp_exact(sample_points(GridDensity.uniform(1), 19, RandomSeed(1)))
 
-    def test_step_cache_footprint(self):
-        # 9 bytes per (mask, last point) state, about 1.03 MB at n = 14,
-        # counting the buffers the cached blocks keep alive
-        n = 14
-        arrays = [a for layer in _steps(n) for block in layer for a in block]
-        buffers = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
-        states = n << (n - 1)
-        assert sum(a.nbytes for a in arrays) == sum(b.nbytes for b in buffers.values()) <= 9 * states
-        assert not any(a.flags.writeable for a in arrays)
-
-    def test_live_cache_footprint(self):
-        # the live blocks of 18 points up to paths of 7, the most ktsp_exact
-        # takes there: read-only, contiguous, and within the step-block bytes
-        # that _require_budget counts for 18 points
-        n, stop = 18, 7
-        blocks = [block for s in range(2, stop + 1) for block in _live_steps(n, s)]
-        arrays = [a for block in blocks for a in block]
-        buffers = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
-        assert sum(a.nbytes for a in arrays) == sum(b.nbytes for b in buffers.values()) == _live_bytes(n, stop)
-        assert _live_bytes(n, stop) <= 9 * (n << n) // 2 < _live_bytes(n, stop + 1)
-        assert not any(a.flags.writeable for a in arrays)
-        assert all(len(out) <= _HK_BLOCK and prev.flags.c_contiguous and via.flags.c_contiguous for out, prev, via in blocks)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 12])
-    def test_step_blocks_cover_each_state_once(self, n):
+    @pytest.mark.parametrize("n", [2, 5, 12, 18])
+    def test_state_index_covers_each_state_once(self, n):
+        # entry (j, r) of size s is the r-th mask ending at its j-th point;
+        # 8 bytes per state of sizes 2 to n, the index term of _require_budget
         layers = _layers(n)
-        for s, layer in enumerate(_steps(n)):
-            assert all(len(out) <= _HK_BLOCK for out, _, _ in layer)
-            out, prev, last = (np.concatenate(parts).astype(np.int64) for parts in zip(*layer))
-            v, rank = np.divmod(out, len(layers[s]))  # out = v * C(n, s) + rank(mask)
-            mask = layers[s][rank]
-            assert np.array_equal(v, last)
-            assert np.array_equal(layers[s - 1][prev], mask ^ (1 << last))  # empty at s = 0
-            expected = [(m, v) for m in range(1 << n) if bin(m).count("1") == s for v in range(n) if m >> v & 1]
-            assert sorted(zip(mask.tolist(), last.tolist())) == expected
+        arrays = []
+        for s in range(2, n + 1):
+            scaled, prev = _states(n, s)
+            arrays += [scaled, prev]
+            assert scaled.shape == prev.shape == (s, len(layers[s]))
+            v, rem = np.divmod(scaled, n)
+            mask = np.broadcast_to(layers[s], v.shape)
+            # s increasing points of an s-point mask, all in it: each of its states once
+            assert not rem.any() and (np.diff(v, axis=0) > 0).all() and (mask >> v & 1).all()
+            assert np.array_equal(layers[s - 1][prev], mask ^ (1 << v))
+        assert all(a.dtype == np.int32 and not a.flags.writeable for a in arrays)
+        buffers = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
+        index_bytes = 8 * sum(s * math.comb(n, s) for s in range(2, n + 1))
+        assert sum(a.nbytes for a in arrays) == sum(b.nbytes for b in buffers.values()) == index_bytes
 
     @pytest.mark.parametrize("kind", ["random", "lattice", "stacked"])
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("n,stop", [(2, 2), (5, 5), (7, 4), (8, 8), (8, 6), (9, 4), (12, 5)])
-    def test_kernel_matches_reference(self, monkeypatch, kind, weighted, n, stop):
+    def test_kernel_matches_reference(self, kind, weighted, n, stop):
         # every state's cost bit for bit, and every final state's path is
-        # the chain of lowest-index parents; (2, 2), (9, 4) and (12, 5) take
-        # the live path, the other cases the step blocks
-        built = []
-        monkeypatch.setattr(tsp, "_steps", lambda m: built.append(m) or _steps(m))
+        # the chain of lowest-index parents
         if kind == "random":
             ps = sample_points(GridDensity.uniform(1), n, RandomSeed(604, n))
         elif kind == "lattice":  # integer points, many equal distances
@@ -644,14 +622,13 @@ class TestExactTour:
         start = dist[0] + 0.5  # one-point paths of unequal cost
         cost, parent = reference_held_karp(dist, start, stop, weights)
         tables = _held_karp(dist, start, stop, weights)
-        assert built == ([] if (n, stop) in ((2, 2), (9, 4), (12, 5)) else [n])
         assert len(tables) == stop + 1
         for s, layer in enumerate(_layers(n)[: stop + 1]):
-            expected = np.full((n, len(layer)), np.inf)
-            for r, m in enumerate(layer.tolist()):
-                for v in range(n):
-                    expected[v, r] = cost.get((m, v), math.inf)
-            assert tables[s].tobytes() == expected.tobytes()
+            points = [[v for v in range(n) if m >> v & 1] for m in layer.tolist()]  # each mask's, increasing
+            # entry (j, r): the r-th mask ending at its j-th point
+            expected = np.array([[cost[m, vs[j]] for m, vs in zip(layer.tolist(), points)] for j in range(s)])
+            expected = expected.reshape(s, len(layer))  # (0, 1) at s = 0
+            assert tables[s].shape == expected.shape and tables[s].tobytes() == expected.tobytes()
         for m in _layers(n)[stop].tolist():
             for v in (v for v in range(n) if m >> v & 1):
                 chain, state = [], (m, v)
@@ -672,3 +649,35 @@ class TestExactTour:
             assert s2.length <= s.length + 1e-12
             for result in (s, s2, ex):
                 assert sorted(result.route.order) == list(range(9))
+
+
+@pytest.mark.parametrize("oracle, n, k", [("tsp", 18, 0), ("trp", 17, 0), ("ktsp", 21, 4), ("ktsp", 20, 7), ("ktsp", 19, 8)])
+def test_budget_counts_the_peak(monkeypatch, oracle, n, k):
+    # At each oracle's largest accepted n, the most memory one cold call
+    # holds at once is no more than _require_budget counts for it.
+    from routebench import ktsp_exact, trp_exact
+
+    def require(size):
+        if oracle == "tsp":
+            tsp._require_budget("tsp_exact", size, size - 1, size - 1)
+        elif oracle == "trp":
+            tsp._require_budget("trp_exact", size, size, size)
+        else:
+            tsp._require_budget("ktsp_exact", size, size, k)
+
+    require(n)
+    with pytest.raises(CapacityError):
+        require(n + 1)
+    ps = sample_points(GridDensity.uniform(1), n, RandomSeed(1400 + n, k))
+    call = {"tsp": tsp_exact, "trp": trp_exact, "ktsp": lambda ps: ktsp_exact(ps, k)}[oracle]
+    tsp._layers.cache_clear()
+    tsp._states.cache_clear()
+    tracemalloc.start()
+    try:
+        call(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(tsp, "EXACT_BUDGET", peak - 1)
+    with pytest.raises(CapacityError):  # so it counts at least the peak
+        require(n)
