@@ -148,7 +148,7 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     O(n^2 * 2^n), memory 16 bytes per (subset, last point) state of at
     most k points, 8 per subset mask and no parent table.
     :func:`_exact_budget` caps n: 1182 at k <= 3, 21 at k = 4 to 6, 20 at
-    k = 7, 19 at k = 8.  Among paths of equal cost, the lowest-index
+    k = 7, 19 at k = 8, 18 at k = 9 and 10, 17 at k = 11 to 17.  Among paths of equal cost, the lowest-index
     predecessor wins at every step.
     """
     k = _require_int("k", k, 2)

@@ -27,10 +27,12 @@ EXACT_BUDGET = 32 << 20
 
 # Candidate neighbours per point in ``two_opt``.
 NEIGHBORS = 8
-# Candidate lists: up to _SORT_MAX points, sort rows of the distance matrix
-# in Python; above, about _KNN_BLOCK squared distances per numpy block, and
-# from _GRID_MIN points on, a grid search first (on uniform points it took
-# 1.06x the time of the all-points path at 128 points and 0.92x at 144).
+# Up to _SORT_MAX points, strip_tour, the candidate lists and _stale work on
+# Python lists and floats, as each numpy call costs more than such a tour
+# does.  Above, candidate lists take about _KNN_BLOCK squared distances per
+# numpy block, and from _GRID_MIN points on, a grid search first (on uniform
+# points it took 1.06x the time of the all-points path at 128 points and
+# 0.92x at 144).
 _SORT_MAX = 16
 _GRID_MIN = 136
 _KNN_BLOCK = 1 << 12
@@ -61,18 +63,28 @@ def strip_tour(ps: PointSet) -> TspResult:
 
     Points are bucketed by strip, sorted by x with alternating direction,
     concatenated bottom-to-top and closed.  The resulting length is at most
-    (2*sqrt(n) + 4) * side for every input.
+    (2*sqrt(n) + 4) * side for every input.  Up to ``_SORT_MAX`` points the
+    order is a stable Python sort on (strip, +-x) keys, above it
+    ``np.lexsort`` on the same keys: both keep ties in index order, so
+    they give the same tour.
     """
     n = len(ps)
     if n == 0:
         raise ValueError("strip tour of an empty point set is undefined")
     strips = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-    h = ps.square.side / strips
-    ys = ps.coords[:, 1] - ps.square.origin[1]
-    strip = np.minimum((ys / h).astype(np.int64), strips - 1)  # ys >= 0: truncation is the floor
-    xs = np.where(strip % 2 == 0, ps.coords[:, 0], -ps.coords[:, 0])
-    order = np.lexsort((xs, strip))
-    route = Route._of(tuple(order.tolist()), closed=True)
+    h, oy = float(ps.square.side / strips), float(ps.square.origin[1])
+    if n <= _SORT_MAX:
+        keys = []
+        for x, y in ps.coords.tolist():
+            strip = min(int((y - oy) / h), strips - 1)  # y >= oy: truncation is the floor
+            keys.append((strip, -x if strip % 2 else x))
+        order = sorted(range(n), key=keys.__getitem__)
+        route = Route._of(tuple(order), closed=True)
+    else:
+        strip = np.minimum(((ps.coords[:, 1] - oy) / h).astype(np.int64), strips - 1)
+        xs = np.where(strip % 2 == 0, ps.coords[:, 0], -ps.coords[:, 0])
+        order = np.lexsort((xs, strip))
+        route = Route._of(tuple(order.tolist()), closed=True)
     length = _path_length(ps.coords.take(order, axis=0), closed=True)
     assert length <= (2.0 * math.sqrt(n) + 4.0) * ps.square.side + 1e-9
     return TspResult(route, length, "strip")
@@ -183,21 +195,25 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
     lists of (index, distance) pairs.
 
     Neighbours run nearest first, ties to the lower index.  Up to
-    ``_SORT_MAX`` points, rows of the distance matrix are sorted in Python.
+    ``_SORT_MAX`` points, the squared distances are Python floats, bit-equal
+    to numpy's, and each row is sorted in Python.
     From ``_GRID_MIN`` points on a grid search settles most rows, and each
     other row takes all points as candidates; :func:`_nearest` selects from
     both, in blocks of at most max(``_KNN_BLOCK``, t) distances, so memory
     is O(t * k) plus one block.
     """
     t = len(pts)
-    x, y = pts[:, 0], pts[:, 1]
     if t <= _SORT_MAX:
-        d2 = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2
-        np.fill_diagonal(d2, np.inf)  # a point is not its own neighbour
-        rows = d2.tolist()
+        xy = pts.tolist()
+        rows = [[math.inf] * t for _ in range(t)]  # a point is not its own neighbour
+        for i, (xi, yi) in enumerate(xy):
+            for j in range(i + 1, t):
+                dx, dy = xi - xy[j][0], yi - xy[j][1]
+                rows[i][j] = rows[j][i] = dx * dx + dy * dy  # numpy's (x_i - x_j) ** 2 + (y_i - y_j) ** 2
         near = [sorted(range(t), key=row.__getitem__)[:k] for row in rows]
         return np.array(near), [[(j, math.sqrt(row[j])) for j in js] for row, js in zip(rows, near)]
 
+    x, y = pts[:, 0], pts[:, 1]
     nbr = np.empty((t, k), dtype=np.int64)
     d2s = np.empty((t, k))
     todo = _grid_neighbors(pts, k, nbr, d2s)
@@ -298,8 +314,24 @@ def _place(
 def _stale(tour: list[int], pos: list[int], nbr: np.ndarray, examined: list[int], touched: list[int]) -> list[int]:
     """The points, in tour order, that a move may have changed since they
     were last examined: those whose own edges, the edges within three tour
-    steps of them, or the edges of one of their candidates changed since."""
+    steps of them, or the edges of one of their candidates ``nbr`` changed
+    since.  Up to ``_SORT_MAX`` points a Python scan applies that rule,
+    above it numpy arrays."""
     t = len(tour)
+    if t <= _SORT_MAX:
+        ring = [touched[v] for v in tour[-3:] + tour + tour[:3]]  # position i's ring is ring[i : i + 7]
+        near = nbr.tolist()
+        stale = []
+        for i, v in enumerate(tour):
+            since = examined[v]
+            if max(ring[i : i + 7]) > since:
+                stale.append(v)
+            else:
+                for c in near[v]:
+                    if touched[c] > since:
+                        stale.append(v)
+                        break
+        return stale
     tour_a, touched_a = np.array(tour), np.array(touched)
     ring = touched_a[np.concatenate([tour_a[-3:], tour_a, tour_a[:3]])]
     latest = np.maximum.reduce([ring[j : j + t] for j in range(7)])[pos]
@@ -307,7 +339,7 @@ def _stale(tour: list[int], pos: list[int], nbr: np.ndarray, examined: list[int]
     return tour_a[(latest > np.array(examined))[tour_a]].tolist()
 
 
-def two_opt(ps: PointSet, start: Route) -> TspResult:
+def two_opt(ps: PointSet, start: Route, *, _length: float | None = None) -> TspResult:
     """Neighbour-list 2-opt and Or-opt with a don't-look queue.
 
     Each point gets its K = min(8, t - 1) nearest neighbours as candidates.
@@ -337,16 +369,19 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
 
     The result starts at the first point of ``start`` and is never longer
     than it; ``moves`` counts the moves made and ``cap_hit`` says whether the
-    cap stopped the search.
+    cap stopped the search.  ``_length`` is private: :func:`strip_two_opt`
+    passes the strip tour's length, ``route_length`` of ``start`` bit for
+    bit, so that it is not summed a second time.
     """
     if not start.closed:
         raise ValueError("two_opt expects a closed starting route")
     order = start.order
     t = len(order)
-    if t < 4:
-        return TspResult(start, route_length(start, ps), "strip+2opt")
-
     coords = _route_points(start, ps)
+    start_length = _path_length(coords, closed=True) if _length is None else _length
+    if t < 4:
+        return TspResult(start, start_length, "strip+2opt")
+
     pt = list(map(tuple, coords.tolist()))
     nbr, cands = _neighbor_lists(coords, min(NEIGHBORS, t - 1))
     dist = math.dist
@@ -449,7 +484,6 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
                     queued[v] = True
                     queue.append(v)
 
-    start_length = _path_length(coords, closed=True)
     if not moves:
         return TspResult(start, start_length, "strip+2opt")
     k = pos[0]
@@ -464,8 +498,11 @@ def two_opt(ps: PointSet, start: Route) -> TspResult:
 def strip_two_opt(ps: PointSet) -> TspResult:
     """Strip tour polished by :func:`two_opt`: neighbour-list 2-opt and
     Or-opt (segments of 1-3 points) with K = 8 candidates, a don't-look
-    queue and a 50 * n move cap; ``moves`` and ``cap_hit`` report the polish."""
-    return two_opt(ps, strip_tour(ps).route)
+    queue and a 50 * n move cap; ``moves`` and ``cap_hit`` report the polish.
+    It calls both steps by their module-level names, so a profiler that
+    wraps those names sees both; the strip tour's length is handed on."""
+    start = strip_tour(ps)
+    return two_opt(ps, start.route, _length=start.length)
 
 
 def _distance_matrix(ps: PointSet) -> np.ndarray:
@@ -514,6 +551,16 @@ def _states(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return scaled, prev
 
 
+@functools.cache
+def _others(s: int) -> np.ndarray:
+    """The read-only (s - 1, s) table whose entry (i, j) is the index of
+    the i-th point of an s-point mask other than its j-th."""
+    rows = np.arange(s - 1)[:, None]
+    other = rows + (rows >= np.arange(s))
+    other.flags.writeable = False
+    return other
+
+
 def _require_budget(oracle: str, n: int, points: int, stop: int) -> None:
     """Raise ``CapacityError`` if ``oracle`` on n points may hold more than
     ``EXACT_BUDGET`` bytes at once: 24 per pair for the distance matrix at
@@ -550,9 +597,10 @@ def _held_karp(
     ``cost[s - 1][:, rank(mask - point j)]``, its i-th entry reached over
     the edge from the mask's i-th point other than its j-th.  One numpy
     step per block of whole masks, about ``_HK_BLOCK`` candidate sums,
-    gathers those columns and edges through the :func:`_states` index into
-    an (s - 1, s, block) array and takes its minimum along axis 0.  No
-    parent is stored: see :func:`_path_to`.
+    gathers those columns and edges through the :func:`_states` index and
+    the :func:`_others` table, both cached, into an (s - 1, s, block) array
+    and takes its minimum along axis 0.  No parent is stored: see
+    :func:`_path_to`.
 
     Time O(n^2 * 2^n); memory 8 bytes per state of sizes up to ``stop``
     for the tables, 8 per state for the cached index, and one block.
@@ -565,8 +613,7 @@ def _held_karp(
         # edge[u * n + v]: the edge (u, v), weighted
         edge = (dist if weights is None else dist * weights[s]).reshape(-1)
         scaled, prev = _states(n, s)
-        rows = np.arange(s - 1)[:, None]
-        other = rows + (rows >= np.arange(s))  # other[i, j]: the i-th point of a mask other than its j-th
+        other = _others(s)
         width = max(1, _HK_BLOCK // (s * (s - 1)))  # masks per step
         for lo in range(0, len(layers[s]), width):
             at = scaled[:, lo : lo + width]
@@ -584,18 +631,27 @@ def _path_to(
     """The optimal path of state (mask, last) in the tables that
     :func:`_held_karp` built from ``dist`` and ``weights``, first point first.
 
-    Each step back forms the state's candidate sums as the kernel did, over
-    the points of mask - last in increasing order, and takes the first
-    least one, the lowest-index predecessor.
+    Each step back, in Python floats, forms the state's candidate sums as
+    the kernel did, cost + dist[v][last] (times ``weights[s]``) over the
+    points v of mask - last in increasing order, and takes the first least
+    one, the lowest-index predecessor.  The column of mask - last, whose
+    points are b_1 < b_2 < ..., is its colex rank, the sum over i of
+    C(b_i, i), as the masks of one size in increasing order are in colex
+    order.
     """
     n = len(dist)
-    layers = _layers(n)
+    rows = dist.tolist()
     order = [last]
     for s in range(bin(mask).count("1"), 1, -1):
         mask ^= 1 << last
-        points = np.flatnonzero(mask >> np.arange(n) & 1)  # the rows of cost[s - 1], increasing
-        edge = dist[points, last] if weights is None else dist[points, last] * weights[s]
-        last = int(points[np.argmin(cost[s - 1][:, np.searchsorted(layers[s - 1], mask)] + edge)])
+        points = [v for v in range(n) if mask >> v & 1]  # the rows of cost[s - 1], increasing
+        column = cost[s - 1][:, sum(map(math.comb, points, range(1, s)))].tolist()
+        if weights is None:
+            sums = [c + rows[v][last] for c, v in zip(column, points)]
+        else:
+            w = weights[s].item()
+            sums = [c + rows[v][last] * w for c, v in zip(column, points)]
+        last = points[sums.index(min(sums))]
         order.append(last)
     order.reverse()
     return order

@@ -1,11 +1,12 @@
 """Exact oracles on larger instances against recorded optimal values.
 
-The brute-force comparisons elsewhere only reach n <= 8; these instances sit
-at the oracles' former size caps (tsp n <= 15, trp n <= 13, ktsp n <= 12),
-where only the subset dynamic program can answer.  The values were
-recorded from the package's earlier pure-Python dynamic programs, one per
-oracle, and are stored as ``float.hex`` literals so they survive a round
-trip exactly.
+The brute-force comparisons elsewhere only reach n <= 8; these instances
+reach the oracles' size caps (tsp n <= 18, trp n <= 17, ktsp n <= 21 at
+k = 4 and n <= 20 at k = 7), where only the subset dynamic program can
+answer.  The values up to n = 15 were recorded from the package's earlier
+pure-Python dynamic programs, one per oracle, and those at the caps from
+the numpy kernel with its numpy walk-back; all are stored as ``float.hex``
+literals so they survive a round trip exactly.
 """
 
 import hashlib
@@ -106,11 +107,15 @@ def _pin(value: float, route: Route) -> tuple[str, str]:
     return value.hex(), hashlib.sha256(repr(route.order).encode()).hexdigest()
 
 
+KINDS = ("random", "lattice", "stacked")
+# each kind once more at the caps, the only sizes at which a walk-back
+# step handles more than 15 points
 TSP_CASES = [("random", n) for n in (4, 7, 10, 13, 15)] + [("lattice", 12), ("lattice", 15), ("stacked", 9)]
+TSP_CASES += [(kind, 18) for kind in KINDS]
 TRP_CASES = [("random", n) for n in (4, 7, 10, 13)] + [("lattice", 10), ("lattice", 13), ("stacked", 8)]
-KTSP_CASES = [("random", 9, k) for k in range(2, 10)] + [
-    (kind, 12, k) for kind in ("random", "lattice", "stacked") for k in range(2, 13)
-]
+TRP_CASES += [(kind, 17) for kind in KINDS]
+KTSP_CASES = [("random", 9, k) for k in range(2, 10)] + [(kind, 12, k) for kind in KINDS for k in range(2, 13)]
+KTSP_CASES += [(kind, n, k) for kind in KINDS for n, k in ((21, 4), (20, 7))]
 
 TSP_PINS = {
     ('random', 4): ("0x1.f8b241087f95bp+0", "c488d5c0fe8e8bd1d025e255f569afd64d2378fe49e3efa3fdbd0113d6195fc0"),
@@ -121,6 +126,9 @@ TSP_PINS = {
     ('lattice', 12): ("0x1.8000000000000p+3", "373dbd1c80ec2f55cc58eb2f480c435cc9c260568f922c2ad89a5876dcdde6b3"),
     ('lattice', 15): ("0x1.ed413cccfe77ap+3", "cbf3fbab79fb808f1c5d1b8e4284600d2b676f05f9e71053f78602d1e7256127"),
     ('stacked', 9): ("0x0.0p+0", "f398a1269d4910332cb6e953fc4caf40c9461f78f4ef29465001ca6da38b28ae"),
+    ('random', 18): ("0x1.00fdc1ee434ccp+2", "362596a7e4d01d8110ed13c0e0778f81ee88d77412b58396f9200335e0f15744"),
+    ('lattice', 18): ("0x1.2000000000000p+4", "d4556a45eb05b2c65d141de9e90dfa53d56b7598ef592488e4d6a32dc3e33eaa"),
+    ('stacked', 18): ("0x0.0p+0", "856620ceea2eab53e3c9f91a3b5d303d2e57ae76497f50787978e403fbbf752e"),
 }
 TRP_PINS = {
     ('random', 4): ("0x1.f5b2739c6ed27p+0", "d403258c4433091b856e3e8e0cc590b0470f4501a0668d72d82b6a1b4d6c144a"),
@@ -130,6 +138,9 @@ TRP_PINS = {
     ('lattice', 10): ("0x1.6800000000000p+5", "b92307f6d3a9a5fab2e5391ccc29494ef5493e4229c161a5960124ba83806e65"),
     ('lattice', 13): ("0x1.3800000000000p+6", "941e26f33555273e9321c37d3e821abf9ac0c5d92284b64d3b62324ccf40ba67"),
     ('stacked', 8): ("0x0.0p+0", "f366d51b718610efe3f640a46db42178a60a2d723e4b1fbe39d7a2a2964303c5"),
+    ('random', 17): ("0x1.84ba092075f4ap+4", "b79cbbe0daa462b34a03655ee3c0178b82a8199571fa9282902dbc416d84fd17"),
+    ('lattice', 17): ("0x1.1000000000000p+7", "d6db8823d527a011216a50c9a717037bcd5d6d1dc137672474399b34d5aa38b6"),
+    ('stacked', 17): ("0x0.0p+0", "b353a4f8ce734fe99ef77fc4e24b4b3a9317d88d529d3528bc1a473c091aa35f"),
 }
 KTSP_PINS = {
     ('random', 9, 2): ("0x1.0e5d8bc2b1e96p-4", "a94009aa79e42e48543a393364daf4094057596ab8438988490854fa49b30efe"),
@@ -173,6 +184,12 @@ KTSP_PINS = {
     ('stacked', 12, 10): ("0x0.0p+0", "ee2956bd5ba6b7b85a5d140a83e2c504945879b36bac15209700b511d73f0906"),
     ('stacked', 12, 11): ("0x0.0p+0", "4bc9637bf3dbcc8825c98afa2e319af7cb356c98c9a62b92bfe3973a3e0cd31f"),
     ('stacked', 12, 12): ("0x0.0p+0", "b2035b0af6dcfa8a2b15917e4b467a85fcd168cc1dd49587f24aa251f3e631e1"),
+    ('random', 21, 4): ("0x1.07c57b2213d80p-2", "6449cf6b1e8064784d161058382f130ab6118ebd97e1a28c594be6b5c4795af4"),
+    ('random', 20, 7): ("0x1.316ab4da7e40cp-1", "d2ffe346e688a63735f1e697fc55cb78fa71915b080ca89915e5d9776b364f35"),
+    ('lattice', 21, 4): ("0x1.8000000000000p+1", "c5c25158dde5b90a643a2185451fc876735019befa3aa97c963d56eaae22476b"),
+    ('lattice', 20, 7): ("0x1.8000000000000p+2", "fb1d95ef622e9fbe325a35ff88618ea1c6a7621b4e64955fec559856b182d879"),
+    ('stacked', 21, 4): ("0x0.0p+0", "a6fdd07451679bb882ba637e3e8d116dcb02f45584463ad92ce2b622fc5edd10"),
+    ('stacked', 20, 7): ("0x0.0p+0", "77dd42642074d791cd0e0bda2cb06104153c6629d917dc8e91bf5145787d401b"),
 }
 
 

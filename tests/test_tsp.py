@@ -127,6 +127,26 @@ class TestStripTour:
             assert all(type(i) is int for i in result.route.order)
             assert result.length.hex() == route_length(result.route, ps).hex()
 
+    def test_order_matches_lexsort_reference(self):
+        # the Python sort of small inputs and the lexsort of larger ones give
+        # the lexsort order, ties included: duplicates, points on strip
+        # boundaries, and x = 0 and -0 in odd strips, whose keys are -0 and 0
+        square = Square((-2.0, 1.5), 4.0)
+        for t in range(1, 41):
+            rng = np.random.default_rng(t)
+            strips = math.isqrt(t - 1) + 1
+            h = square.side / strips
+            uniform = square.origin + rng.random((t, 2)) * square.side
+            ys = np.minimum(square.origin[1] + rng.integers(0, strips + 1, t) * h, square.origin[1] + square.side)
+            xs = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 2.0], t)
+            for pts in (uniform, np.column_stack((xs, ys))):
+                ps = PointSet(pts, square)
+                strip = np.minimum(((ps.coords[:, 1] - square.origin[1]) / h).astype(np.int64), strips - 1)
+                keys = np.where(strip % 2 == 0, ps.coords[:, 0], -ps.coords[:, 0])
+                result = strip_tour(ps)
+                assert result.route.order == tuple(np.lexsort((keys, strip)).tolist())
+                assert result.length.hex() == route_length(result.route, ps).hex()
+
 
 class TestTwoOpt:
     def test_optimal_square_unchanged(self):
@@ -177,6 +197,15 @@ class TestTwoOpt:
             if heur.length <= 1.25 * exact.length:
                 good += 1
         assert good >= 0.95 * trials
+
+    def test_strip_two_opt_is_two_opt_of_the_strip_tour(self):
+        # strip_two_opt hands the strip tour's length on instead of summing
+        # it again; the results, on both sides of _SORT_MAX, stay two_opt's
+        square = Square((-3.5, 2.25), 8.0)
+        for n in [*range(1, 41), 150]:
+            ps = sample_points(GridDensity.uniform(2, square), n, RandomSeed(640, n))
+            a, b = strip_two_opt(ps), two_opt(ps, strip_tour(ps).route)
+            assert (a.route, a.length.hex(), a.moves, a.cap_hit) == (b.route, b.length.hex(), b.moves, b.cap_hit)
 
 
 # Mean strip + 2-opt tour length over fixed seeds, recorded (as float.hex)
@@ -466,6 +495,28 @@ def test_candidate_lists_on_a_rounded_lattice():
         expected = np.argsort(d2, kind="stable")[:k]  # nearest first, ties to the lower index
         assert nbr[i].tolist() == expected.tolist()
         assert cands[i] == list(zip(expected.tolist(), np.sqrt(d2[expected]).tolist()))
+
+
+def test_stale_matches_numpy_formula():
+    # the Python scan of small tours and the arrays of larger ones against
+    # the rule as numpy arrays: the latest change in the ring of +-3 tour
+    # positions or among the candidates, against the last examination
+    for t in range(4, 41):
+        rng = np.random.default_rng(t)
+        k = min(NEIGHBORS, t - 1)
+        for _ in range(20):
+            tour = rng.permutation(t).tolist()
+            pos = np.argsort(tour).tolist()
+            touched = rng.integers(0, 40, t).tolist()
+            examined = rng.integers(-1, 40, t).tolist()
+            nbr = np.array([rng.permutation(np.delete(np.arange(t), i))[:k] for i in range(t)])
+            tour_a, touched_a = np.array(tour), np.array(touched)
+            ring = touched_a[np.concatenate([tour_a[-3:], tour_a, tour_a[:3]])]
+            latest = np.maximum.reduce([ring[j : j + t] for j in range(7)])[pos]
+            latest = np.maximum(latest, touched_a[nbr].max(axis=1))
+            expected = tour_a[(latest > np.array(examined))[tour_a]].tolist()
+            stale = tsp._stale(tour, pos, nbr, examined, touched)
+            assert stale == expected and all(type(v) is int for v in stale)
 
 
 def golden_instance(name):
