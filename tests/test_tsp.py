@@ -127,11 +127,24 @@ class TestStripTour:
             assert all(type(i) is int for i in result.route.order)
             assert result.length.hex() == route_length(result.route, ps).hex()
 
-    def test_order_matches_lexsort_reference(self):
-        # the Python sort of small inputs and the lexsort of larger ones give
-        # the lexsort order, ties included: duplicates, points on strip
+    def test_order_matches_lexsort_reference(self, monkeypatch):
+        # the Python sort of small inputs and the radix order of larger ones
+        # give the lexsort order, ties included: duplicates, points on strip
         # boundaries, and x = 0 and -0 in odd strips, whose keys are -0 and 0
         square = Square((-2.0, 1.5), 4.0)
+        lexsort = np.lexsort
+        calls = []  # strip_tour's own np.lexsort calls: ties among the +-x keys
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
+
+        def check(pts, strips):
+            ps = PointSet(pts, square)
+            h = square.side / strips
+            strip = np.minimum(((ps.coords[:, 1] - square.origin[1]) / h).astype(np.int64), strips - 1)
+            keys = np.where(strip % 2 == 0, ps.coords[:, 0], -ps.coords[:, 0])
+            result = strip_tour(ps)
+            assert result.route.order == tuple(lexsort((keys, strip)).tolist())
+            assert result.length.hex() == route_length(result.route, ps).hex()
+
         for t in range(1, 41):
             rng = np.random.default_rng(t)
             strips = math.isqrt(t - 1) + 1
@@ -140,12 +153,30 @@ class TestStripTour:
             ys = np.minimum(square.origin[1] + rng.integers(0, strips + 1, t) * h, square.origin[1] + square.side)
             xs = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 2.0], t)
             for pts in (uniform, np.column_stack((xs, ys))):
-                ps = PointSet(pts, square)
-                strip = np.minimum(((ps.coords[:, 1] - square.origin[1]) / h).astype(np.int64), strips - 1)
-                keys = np.where(strip % 2 == 0, ps.coords[:, 0], -ps.coords[:, 0])
-                result = strip_tour(ps)
-                assert result.route.order == tuple(np.lexsort((keys, strip)).tolist())
-                assert result.length.hex() == route_length(result.route, ps).hex()
+                check(pts, strips)
+
+        for t in (17, 136, 400, 1601, 20_000):
+            rng = np.random.default_rng(t)
+            strips = math.isqrt(t - 1) + 1
+            ox, oy = square.origin
+            h = square.side / strips
+            uniform = square.origin + rng.random((t, 2)) * square.side
+            calls.clear()
+            check(uniform, strips)
+            assert calls == [], f"uniform points at t = {t} took np.lexsort"
+            duplicate = uniform.copy()
+            duplicate[-1] = duplicate[0]
+            across = uniform.copy()  # one x in strips 0 and 2, both even: equal keys
+            across[:2] = [(0.25, oy + 0.5 * h), (0.25, oy + 2.5 * h)]
+            zeros = uniform.copy()  # x = 0 and -0 in strip 1, odd: keys -0 and 0
+            zeros[:2] = [(0.0, oy + 1.5 * h), (-0.0, oy + 1.5 * h)]
+            w = math.isqrt(t - 1) + 1
+            at = np.arange(t)
+            lattice = square.origin + np.column_stack((at % w, at // w)) * (square.side / w)
+            for pts in (duplicate, across, zeros, lattice):
+                calls.clear()
+                check(pts, strips)
+                assert calls == [2], f"equal keys at t = {t} did not take np.lexsort"
 
 
 class TestTwoOpt:
