@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import GridDensity, PointSet, Route, Square, _cell_ids, _path_length, route_length
 from .core import _require_count, _require_finite, _require_int
-from .tsp import _distance_matrix, _held_karp, _layers, _path_to, _require_budget, strip_two_opt
+from .tsp import _distance_matrix, _held_karp, _path_to, _require_budget, strip_two_opt
 
 __all__ = [
     "KtspResult",
@@ -142,12 +142,12 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
 
     k = 2 and k = 3 are solved in closed form from the distance matrix
     (closest pair, best middle point).  Larger k runs the Held-Karp dynamic
-    program from every start point up to paths of k points: time
-    O(n^2 * 2^n), memory 16 bytes per (subset, last point) state of at
-    most k points, 8 per subset mask and no parent table.
-    :func:`_exact_budget` caps n: 1182 at k <= 3, 21 at k = 4 to 6, 20 at
-    k = 7, 19 at k = 8, 18 at k = 9 and 10, 17 at k = 11 to 17.  Among paths of equal cost, the lowest-index
-    predecessor wins at every step.
+    program from every start point up to paths of k points: time O(k) and
+    memory 16 bytes per (subset, last point) state of at most k points,
+    and no parent table.  :func:`_exact_budget` caps n: 1182
+    at k <= 3, 58 at k = 4, 35 at k = 5, 26 at k = 6, 22 at k = 7, 20 at
+    k = 8, 18 at k = 9 to 11, 17 at k = 12 to 17.  Among paths of equal
+    cost, the lowest-index predecessor wins at every step.
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", len(ps), k)
@@ -168,8 +168,7 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     # its reverse at equal cost, the one starting at the lower index
     r = int(np.argmin(cost[k].min(axis=0)))
     j = k - 1 - int(np.argmin(cost[k][::-1, r]))
-    mask = int(_layers(n)[k][r])
-    order = _path_to(cost, dist, mask, [v for v in range(n) if mask >> v & 1][j])
+    order = _path_to(cost, dist, r, j)
     route = Route._of(tuple(order), closed=False)
     return KtspResult(route, route_length(route, ps), 0, None)
 

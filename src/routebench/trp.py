@@ -21,6 +21,7 @@ from .core import (
     Point,
     PointSet,
     Route,
+    _brief,
     _cell_ids,
     _group_by_cell,
     _require_count,
@@ -96,13 +97,20 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
     tour orientation; consecutive cells are linked by a straight edge.
     Nearly all of the scheme's time goes to that polish.
     With a depot, the depot-to-entry distance is added to every point's
-    wait and reported via ``depot_offset``; a depot with a non-finite
-    coordinate raises ``ValueError``.
+    wait and reported via ``depot_offset``.  The depot is any pair of
+    finite reals (a ``Point``, tuple, list or array); anything else raises
+    ``ValueError``.
     """
     if d.square != ps.square:
         raise ValueError("density and point set must share the bounding square")
+    start = np.array(d.square.origin, dtype=float)
     if depot is not None:
-        _require_finite(depot_x=depot[0], depot_y=depot[1])
+        try:
+            depot_x, depot_y = depot
+        except (TypeError, ValueError):
+            raise ValueError(f"depot must be a pair, got {_brief(depot)}") from None
+        _require_finite(depot_x=depot_x, depot_y=depot_y)
+        start = np.array((depot_x, depot_y), dtype=float)
     n = len(ps)
     if n == 0:
         return TrpResult(Route._of((), closed=False), 0.0)
@@ -112,7 +120,6 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
     # decreasing density, lowest index first among ties; zero-density cells
     # holding stray points are served last under the same rule
     priority = np.lexsort((np.arange(m * m), -d.cells))
-    start = np.array(depot, dtype=float) if depot is not None else np.array(d.square.origin, dtype=float)
     by_cell, bounds = _group_by_cell(ids, m * m)
 
     order: list[int] = []
@@ -139,7 +146,7 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
     prefix = np.concatenate([[0.0], np.cumsum(steps)])
     depot_offset = 0.0
     if depot is not None:
-        depot_offset = n * float(np.hypot(pts[0, 0] - depot.x, pts[0, 1] - depot.y))
+        depot_offset = n * float(np.hypot(pts[0, 0] - start[0], pts[0, 1] - start[1]))
     latency = float(np.arange(n - 1, 0, -1.0) @ steps) + depot_offset  # total_latency of the route
     per_cell = tuple(prefix[last_positions].tolist())
     return TrpResult(route, latency, tuple(visited_cells), per_cell, depot_offset)
@@ -150,10 +157,11 @@ def trp_exact(ps: PointSet) -> TrpResult:
 
     Held-Karp dynamic program over (visited set, last) from every start
     point; extending a partial order of size s charges the new edge (n - s)
-    times.  Time O(n^2 * 2^n), memory 16 bytes per (subset, last) state
-    and no parent table; :func:`~routebench.tsp._require_budget` refuses
-    n > 17.  Among orders of equal cost, the lowest-index predecessor wins
-    at every step.
+    times; the best order ends in column 0 of the last table, the subset
+    of all n points.  Time O(n^2 * 2^n), memory 16 bytes per (subset,
+    last) state and no parent table; :func:`~routebench.tsp._require_budget`
+    refuses n > 17.  Among orders of equal cost, the lowest-index
+    predecessor wins at every step.
     """
     n = len(ps)
     _require_budget("trp_exact", n, n, n)
@@ -163,7 +171,7 @@ def trp_exact(ps: PointSet) -> TrpResult:
     # the edge that grows a path to s points delays the n - s + 1 points after it
     dist, weights = _distance_matrix(ps), n + 1 - np.arange(n + 1)
     cost = _held_karp(dist, np.zeros(n), n, weights)
-    route = Route._of(tuple(_path_to(cost, dist, (1 << n) - 1, int(np.argmin(cost[n][:, 0])), weights)), closed=False)
+    route = Route._of(tuple(_path_to(cost, dist, 0, int(np.argmin(cost[n][:, 0])), weights)), closed=False)
     return TrpResult(route, total_latency(route, ps))
 
 

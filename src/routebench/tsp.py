@@ -521,42 +521,35 @@ def _distance_matrix(ps: PointSet) -> np.ndarray:
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
-@functools.lru_cache(maxsize=8)
-def _layers(n: int) -> tuple[np.ndarray, ...]:
-    """The subsets of n points as bitmasks, grouped by size: entry s holds
-    every mask of popcount s in increasing order, 8 bytes per mask and no
-    more while they are built."""
-    layers = [np.zeros(math.comb(n, s), dtype=np.int64) for s in range(n + 1)]
-    # the masks of size s below 2^(b+1): those below 2^b, then 2^b plus those of size s - 1
-    for b in range(n):
-        for s in range(1, b + 2):
-            lo, new = math.comb(b, s), math.comb(b, s - 1)
-            np.add(layers[s - 1][:new], 1 << b, out=layers[s][lo : lo + new])
-    for layer in layers:
-        layer.flags.writeable = False  # cached and shared by every caller
-    return tuple(layers)
-
-
-@functools.lru_cache(maxsize=64)  # 55 pairs (n, s) cover every size over 10 to 14 points
+@functools.lru_cache(maxsize=64)  # 60 pairs (n, s) cover every size over 10 to 14 points
 def _states(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The states of subset size s >= 2 over n points, laid out as the
-    size-s table: entry (j, r) is the r-th mask of ``_layers(n)[s]`` ending
-    at its j-th point, points in increasing order.
+    """The states of subset size s >= 1 over n points, laid out as the
+    size-s table: column r is the r-th s-point subset in colex order, which
+    is increasing bitmask order, and entry (j, r) ends a path through it at
+    its j-th point, points in increasing order.
 
     Returns two (s, C(n, s)) int32 arrays, 8 bytes per state: each state's
-    point times n, and the rank of its mask less that point among the
-    masks of size s - 1.  Both are read-only, as the cache shares them.
+    point times n, and the column of its subset less that point in the
+    size s - 1 index.  Both are read-only, as the cache shares them.
+
+    The subsets whose largest point is b are, in order, the first
+    c = C(b, s - 1) columns of the size s - 1 index with b appended.
+    Dropping b leaves column r of them; dropping another point leaves a
+    subset of b's group of size s - 1, which starts at column c.
     """
-    layers = _layers(n)
-    layer, below = layers[s], layers[s - 1]
-    scaled = np.empty((s, len(layer)), dtype=np.int32)
-    prev = np.empty_like(scaled)
-    j = np.zeros(len(layer), dtype=np.intp)  # per mask, its points seen so far
-    for v in range(n):
-        r = np.flatnonzero(layer >> v & 1)
-        scaled[j[r], r] = v * n
-        prev[j[r], r] = np.searchsorted(below, layer[r] ^ (1 << v))  # layers are sorted
-        j[r] += 1
+    if s == 1:
+        scaled = np.arange(0, n * n, n, dtype=np.int32)[None]
+        prev = np.zeros_like(scaled)  # the one empty subset
+    else:
+        below, below_prev = _states(n, s - 1)
+        scaled = np.empty((s, math.comb(n, s)), dtype=np.int32)
+        prev = np.empty_like(scaled)
+        for b in range(s - 1, n):
+            group, c = slice(math.comb(b, s), math.comb(b + 1, s)), math.comb(b, s - 1)
+            scaled[:-1, group] = below[:, :c]
+            scaled[-1, group] = b * n
+            np.add(below_prev[:, :c], c, out=prev[:-1, group])
+            prev[-1, group] = np.arange(c, dtype=np.int32)
     scaled.flags.writeable = prev.flags.writeable = False
     return scaled, prev
 
@@ -576,16 +569,16 @@ def _require_budget(oracle: str, n: int, points: int, stop: int) -> None:
     ``EXACT_BUDGET`` bytes at once: 24 per pair for the distance matrix at
     its peak, plus, for Held-Karp over ``points`` points (0: none) up to
     paths of ``stop`` points, 8 bytes per state in the tables and 8 more
-    per state of sizes 2 to ``stop`` in the :func:`_states` index, 8 per
-    mask of :func:`_layers`, 32 per mask of the widest size indexed (what
-    a :func:`_states` build holds while it runs) and 32 per candidate sum
-    of one block.  That is the peak of a call with cold caches, or more."""
+    in the :func:`_states` index, 8 per subset of the widest size (at
+    least what the minimum over a table's columns or a :func:`_states`
+    build holds besides) and 32 per candidate sum of one block.  That is
+    the peak of a call with cold caches, or more."""
     need = 24 * n * n
     if points:
         p = min(points, 64)  # every term grows with p: past 64 points, a lower bound
-        states = sum(s * math.comb(p, s) for s in range(2, stop + 1))
-        widest = math.comb(p, min(stop, p // 2))  # the most masks of one size up to stop
-        need += 8 * p + 16 * states + (8 << p) + 32 * widest + 32 * _HK_BLOCK
+        states = sum(s * math.comb(p, s) for s in range(1, stop + 1))
+        widest = math.comb(p, min(stop, p // 2))  # the most subsets of one size up to stop
+        need += 16 * states + 8 * widest + 32 * _HK_BLOCK
     if need > EXACT_BUDGET:
         mib = f"{need / 2**20:.4g} MiB, over the {EXACT_BUDGET >> 20} MiB budget"
         raise CapacityError(f"{oracle} on {n} points needs {mib}")
@@ -596,19 +589,19 @@ def _held_karp(
 ) -> list[np.ndarray]:
     """Held-Karp subset dynamic program over (visited set, last point).
 
-    ``cost[s]`` has shape (s, C(n, s)): entry (j, r) is the cheapest path
-    through exactly the points of mask ``_layers(n)[s][r]`` that ends at
-    that mask's j-th point, points in increasing order.  A one-point path
-    {v} costs ``start_cost[v]``, and the edge that grows a path to s points
-    costs ``weights[s]`` times its length (1 without ``weights``).  Tables
-    exist up to s = ``stop``.
+    ``cost[s]`` has the layout of the :func:`_states` index, shape
+    (s, C(n, s)): entry (j, r) is the cheapest path through exactly the
+    points of the r-th s-point subset that ends at its j-th point.  A
+    one-point path {v} costs ``start_cost[v]``, and the edge that grows a
+    path to s points costs ``weights[s]`` times its length (1 without
+    ``weights``).  Tables exist up to s = ``stop``.
 
     The s - 1 predecessors of state (j, r) are the whole column
-    ``cost[s - 1][:, rank(mask - point j)]``, its i-th entry reached over
-    the edge from the mask's i-th point other than its j-th.  One numpy
-    step per block of whole masks, about ``_HK_BLOCK`` candidate sums,
-    gathers those columns and edges through the :func:`_states` index and
-    the :func:`_others` table, both cached, into an (s - 1, s, block) array
+    ``cost[s - 1][:, prev[j, r]]``, its i-th entry reached over the edge
+    from the subset's i-th point other than its j-th.  One numpy step per
+    block of whole subsets, about ``_HK_BLOCK`` candidate sums, gathers
+    those columns and edges through the :func:`_states` index and the
+    :func:`_others` table, both cached, into an (s - 1, s, block) array
     and takes its minimum along axis 0.  No parent is stored: see
     :func:`_path_to`.
 
@@ -616,16 +609,15 @@ def _held_karp(
     for the tables, 8 per state for the cached index, and one block.
     """
     n = len(start_cost)
-    layers = _layers(n)
-    cost = [np.empty((s, len(layer))) for s, layer in enumerate(layers[: stop + 1])]
-    cost[1][0] = start_cost  # {v} is the v-th mask of size 1
+    cost = [np.empty((s, math.comb(n, s))) for s in range(stop + 1)]
+    cost[1][0] = start_cost  # {v} is the v-th subset of size 1
     for s in range(2, stop + 1):
         # edge[u * n + v]: the edge (u, v), weighted
         edge = (dist if weights is None else dist * weights[s]).reshape(-1)
         scaled, prev = _states(n, s)
         other = _others(s)
-        width = max(1, _HK_BLOCK // (s * (s - 1)))  # masks per step
-        for lo in range(0, len(layers[s]), width):
+        width = max(1, _HK_BLOCK // (s * (s - 1)))  # subsets per step
+        for lo in range(0, scaled.shape[1], width):
             at = scaled[:, lo : lo + width]
             cand = cost[s - 1].take(prev[:, lo : lo + width], axis=1)
             via = at.take(other, axis=0)
@@ -636,33 +628,32 @@ def _held_karp(
 
 
 def _path_to(
-    cost: list[np.ndarray], dist: np.ndarray, mask: int, last: int, weights: np.ndarray | None = None
+    cost: list[np.ndarray], dist: np.ndarray, r: int, j: int, weights: np.ndarray | None = None
 ) -> list[int]:
-    """The optimal path of state (mask, last) in the tables that
+    """The optimal path of state (j, r) of the last table that
     :func:`_held_karp` built from ``dist`` and ``weights``, first point first.
 
     Each step back, in Python floats, forms the state's candidate sums as
-    the kernel did, cost + dist[v][last] (times ``weights[s]``) over the
-    points v of mask - last in increasing order, and takes the first least
-    one, the lowest-index predecessor.  The column of mask - last, whose
-    points are b_1 < b_2 < ..., is its colex rank, the sum over i of
-    C(b_i, i), as the masks of one size in increasing order are in colex
-    order.
+    the kernel did, the column ``prev[j, r]`` of the table below plus
+    dist[v][last] (times ``weights[s]``) over the points v of that column's
+    subset, and takes the first least one, the lowest-index predecessor.
+    That subset's points are the state's with its j-th point deleted.
     """
     n = len(dist)
     rows = dist.tolist()
-    order = [last]
-    for s in range(bin(mask).count("1"), 1, -1):
-        mask ^= 1 << last
-        points = [v for v in range(n) if mask >> v & 1]  # the rows of cost[s - 1], increasing
-        column = cost[s - 1][:, sum(map(math.comb, points, range(1, s)))].tolist()
+    points = [v // n for v in _states(n, len(cost) - 1)[0][:, r].tolist()]  # increasing
+    order = [points[j]]
+    for s in range(len(cost) - 1, 1, -1):
+        r = int(_states(n, s)[1][j, r])
+        last = points.pop(j)
+        column = cost[s - 1][:, r].tolist()
         if weights is None:
             sums = [c + rows[v][last] for c, v in zip(column, points)]
         else:
             w = weights[s].item()
             sums = [c + rows[v][last] * w for c, v in zip(column, points)]
-        last = points[sums.index(min(sums))]
-        order.append(last)
+        j = sums.index(min(sums))
+        order.append(points[j])
     order.reverse()
     return order
 
@@ -672,10 +663,11 @@ def tsp_exact(ps: PointSet) -> TspResult:
 
     Point 0 anchors the tour (cyclic symmetry makes this lossless), so the
     program runs over the other n - 1 points with paths starting one edge
-    away from it.  Time O(n^2 * 2^n), memory 16 bytes per (subset, last
-    point) state of those n - 1 points and no parent table;
-    :func:`_require_budget` refuses n > 18.  Among tours of equal cost, the
-    lowest-index predecessor wins at every step.
+    away from it, and the walk back starts in column 0 of the last table,
+    the subset of all of them.  Time O(n^2 * 2^n), memory 16 bytes per
+    (subset, last point) state and no parent table; :func:`_require_budget`
+    refuses n > 18.  Among tours of equal cost, the lowest-index
+    predecessor wins at every step.
     """
     n = len(ps)
     if n < 1:
@@ -687,6 +679,6 @@ def tsp_exact(ps: PointSet) -> TspResult:
     dist = _distance_matrix(ps)
     cost = _held_karp(dist[1:, 1:], dist[0, 1:], n - 1)
     last = int(np.argmin(cost[n - 1][:, 0] + dist[1:, 0]))
-    order = (0,) + tuple(v + 1 for v in _path_to(cost, dist[1:, 1:], (1 << (n - 1)) - 1, last))
+    order = (0,) + tuple(v + 1 for v in _path_to(cost, dist[1:, 1:], 0, last))
     route = Route._of(order, closed=True)
     return TspResult(route, route_length(route, ps), "exact")

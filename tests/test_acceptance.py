@@ -9,6 +9,7 @@ pin grids, trial counts, seeds, and thresholds.
 import itertools
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,7 +331,7 @@ def test_c13_reproducibility(out_root):
                 workers=workers,
                 **spec,
             )
-            payloads.append(open(run_experiment(cfg).csv_path, "rb").read())
+            payloads.append(Path(run_experiment(cfg).csv_path).read_bytes())
         same = payloads[0] == payloads[1] == payloads[2]
         ok &= same
         details.append(f"{kind}: {'identical' if same else 'DIFFERS'}")

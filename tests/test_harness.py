@@ -112,18 +112,18 @@ class TestRunExperiment:
     def test_rerun_is_byte_identical(self, tmp_path):
         r1 = run_experiment(small_config(tmp_path, "a"))
         r2 = run_experiment(small_config(tmp_path, "b"))
-        assert open(r1.csv_path, "rb").read() == open(r2.csv_path, "rb").read()
-        assert open(r1.summary_path, "rb").read() == open(r2.summary_path, "rb").read()
+        assert Path(r1.csv_path).read_bytes() == Path(r2.csv_path).read_bytes()
+        assert Path(r1.summary_path).read_bytes() == Path(r2.summary_path).read_bytes()
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         r1 = run_experiment(small_config(tmp_path, "w1", workers=1))
         r2 = run_experiment(small_config(tmp_path, "w2", workers=2))
-        assert open(r1.csv_path, "rb").read() == open(r2.csv_path, "rb").read()
+        assert Path(r1.csv_path).read_bytes() == Path(r2.csv_path).read_bytes()
         assert r1.summary["config_hash"] == r2.summary["config_hash"]
 
     def test_csv_schema(self, tmp_path):
         report = run_experiment(small_config(tmp_path))
-        lines = open(report.csv_path).read().splitlines()
+        lines = Path(report.csv_path).read_text().splitlines()
         assert lines[0] == "experiment,n,k,trial,seed,value"
         parts = lines[1].split(",")
         assert len(parts) == 6
@@ -133,8 +133,8 @@ class TestRunExperiment:
     def test_trial_values_invariant_to_grid_order(self, tmp_path):
         r1 = run_experiment(small_config(tmp_path, "g1", n_grid=(50, 100)))
         r2 = run_experiment(small_config(tmp_path, "g2", n_grid=(100, 50)))
-        rows1 = set(open(r1.csv_path).read().splitlines()[1:])
-        rows2 = set(open(r2.csv_path).read().splitlines()[1:])
+        rows1 = set(Path(r1.csv_path).read_text().splitlines()[1:])
+        rows2 = set(Path(r2.csv_path).read_text().splitlines()[1:])
         assert rows1 == rows2
 
     def test_summary_carries_provenance(self, tmp_path):
@@ -221,8 +221,8 @@ def test_golden_outputs_per_kind(kind, tmp_path):
     assert default_config(kind).config_hash() == default_hash
     cfg = dataclasses.replace(default_config(kind, 7, str(tmp_path)), **GOLDEN_SIZES[kind])
     report = run_experiment(cfg)
-    assert hashlib.sha256(open(report.csv_path, "rb").read()).hexdigest() == csv_sha
-    assert hashlib.sha256(open(report.summary_path, "rb").read()).hexdigest() == summary_sha
+    assert hashlib.sha256(Path(report.csv_path).read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(Path(report.summary_path).read_bytes()).hexdigest() == summary_sha
 
 
 def summary_at_one_worker(report, workers) -> bytes:
@@ -273,13 +273,13 @@ class TestConfigValidation:
             dataclasses.replace(default_config("trp-factor"), k_grid=(2,))
 
     def test_tail_dominance_beyond_exact_cap(self):
-        cfg = default_config("tail-dominance")  # n = 50, above ktsp_exact's cap of 21 at k = 4
+        cfg = default_config("tail-dominance")  # n = 50, above ktsp_exact's cap of 35 at k = 5
         with pytest.raises(ValueError):
-            dataclasses.replace(cfg, k_grid=(2, 4))
+            dataclasses.replace(cfg, k_grid=(2, 5))
         dataclasses.replace(cfg, n_grid=(12,), k_grid=(4,))
-        dataclasses.replace(cfg, n_grid=(21,), k_grid=(4,))  # at the cap
+        dataclasses.replace(cfg, n_grid=(58,), k_grid=(4,))  # at the cap
         with pytest.raises(CapacityError):
-            dataclasses.replace(cfg, n_grid=(22,), k_grid=(4,))
+            dataclasses.replace(cfg, n_grid=(59,), k_grid=(4,))
 
     def test_workers_below_one(self, tmp_path):
         for workers in (0, -3):
@@ -394,7 +394,7 @@ class TestConfigValidation:
         cfg = dataclasses.replace(default_config("fairness-audit", 7), n_grid=(60,), trials=6)
         spec = {key: val for key, val in cfg.density.items() if key != "kind"}
         named, kindless = (
-            open(run_experiment(dataclasses.replace(cfg, density=density, out_dir=str(tmp_path / name))).csv_path).read()
+            Path(run_experiment(dataclasses.replace(cfg, density=density, out_dir=str(tmp_path / name))).csv_path).read_text()
             for name, density in (("named", cfg.density), ("kindless", spec))
         )
         assert named == kindless

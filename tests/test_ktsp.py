@@ -232,13 +232,31 @@ class TestExactOracle:
             ps = sample_points(d, n, RandomSeed(702, trial))
             assert ktsp_exact(ps, k).length == pytest.approx(brute_force_kpath(ps, k), abs=1e-9)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [30, 60, 120, "lattice"])
+    def test_closed_form_matches_dp(self, n, k):
+        # k = 2 and 3 skip the dynamic program; run it anyway and compare the
+        # lengths bit for bit and, where no two paths tie, the points covered
+        if n == "lattice":  # many equal distances: lengths only
+            ps = PointSet([(i % 6, i // 6) for i in range(30)], Square((0.0, 0.0), 6.0))
+        else:
+            ps = sample_points(GridDensity.uniform(1), n, RandomSeed(706, n))
+        dist = tsp._distance_matrix(ps)
+        cost = tsp._held_karp(dist, np.zeros(len(ps)), k)
+        r = int(np.argmin(cost[k].min(axis=0)))
+        path = tsp._path_to(cost, dist, r, int(np.argmin(cost[k][:, r])))
+        result = ktsp_exact(ps, k)
+        assert result.length.hex() == float(cost[k][:, r].min()).hex()
+        if n != "lattice":
+            assert sorted(result.route.order) == sorted(path)
+
     def test_monotone_in_k(self):
         ps = sample_points(GridDensity.uniform(1), 10, RandomSeed(7))
         lengths = [ktsp_exact(ps, k).length for k in range(2, 11)]
         assert all(a <= b + 1e-12 for a, b in zip(lengths, lengths[1:]))
 
     def test_capacity_error_large_k(self):
-        ps = sample_points(GridDensity.uniform(1), 22, RandomSeed(8))
+        ps = sample_points(GridDensity.uniform(1), 36, RandomSeed(8))
         with pytest.raises(CapacityError):
             ktsp_exact(ps, 5)
         # closed-form paths stay available above the DP cap
@@ -246,18 +264,18 @@ class TestExactOracle:
         assert ktsp_exact(ps, 3).length > 0
 
     def test_capacity_checked_before_distances(self, monkeypatch):
-        # n = 40 must fail on its size alone, before any n x n matrix is built
+        # n = 59 must fail on its size alone, before any n x n matrix is built
         def no_matrix(ps):
             raise AssertionError("distance matrix built above the cap")
 
         monkeypatch.setattr(ktsp, "_distance_matrix", no_matrix)
-        ps = sample_points(GridDensity.uniform(1), 40, RandomSeed(9))
+        ps = sample_points(GridDensity.uniform(1), 59, RandomSeed(9))
         with pytest.raises(CapacityError):
             ktsp_exact(ps, 4)
 
     def test_budget_cap(self, monkeypatch):
-        # the 32 MiB budget takes 21 points at k = 4 (17 MiB), 19 at k = 8
-        ps = sample_points(GridDensity.uniform(1), 21, RandomSeed(10))
+        # the 32 MiB budget takes 58 points at k = 4 (31 MiB), 20 at k = 8
+        ps = sample_points(GridDensity.uniform(1), 58, RandomSeed(10))
         result = ktsp_exact(ps, 4)
         assert len(result.route) == 4 and not result.route.closed
         assert result.length == route_length(result.route, ps)
@@ -266,7 +284,7 @@ class TestExactOracle:
             raise AssertionError("distance matrix built above the cap")
 
         monkeypatch.setattr(ktsp, "_distance_matrix", no_matrix)
-        for n, k in ((22, 4), (20, 8)):
+        for n, k in ((59, 4), (21, 8)):
             with pytest.raises(CapacityError, match=f"ktsp_exact at k = {k} on {n} points"):
                 ktsp_exact(sample_points(GridDensity.uniform(1), n, RandomSeed(10)), k)
 

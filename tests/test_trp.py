@@ -118,6 +118,25 @@ class TestAprioriScheme:
         with pytest.raises(ValueError, match="depot"):
             trp_apriori_scheme(ps, d, depot=depot)
 
+    @pytest.mark.parametrize("depot", [(0.3, 0.9), [0.3, 0.9], np.array([0.3, 0.9])], ids=["tuple", "list", "array"])
+    def test_depot_pair_matches_point(self, depot):
+        d = GridDensity.uniform(2)
+        ps = sample_points(d, 50, RandomSeed(6))
+        want = trp_apriori_scheme(ps, d, Point(0.3, 0.9))
+        got = trp_apriori_scheme(ps, d, depot)
+        assert got.route.order == want.route.order
+        assert got.latency.hex() == want.latency.hex()
+        assert got.depot_offset.hex() == want.depot_offset.hex() and got.depot_offset > 0
+
+    @pytest.mark.parametrize(
+        "depot", [(0.5,), (0.5, 0.5, 0.5), np.array([0.5]), 0.5, "ab"], ids=["one", "three", "array-one", "scalar", "str"]
+    )
+    def test_depot_not_a_pair_rejected(self, depot):
+        d = GridDensity.uniform(2)
+        ps = sample_points(d, 50, RandomSeed(6))
+        with pytest.raises(ValueError, match="depot"):
+            trp_apriori_scheme(ps, d, depot=depot)
+
     def test_mismatched_square_rejected(self):
         d = GridDensity.uniform(2, Square((0.0, 0.0), 2.0))
         ps = sample_points(GridDensity.uniform(2), 10, RandomSeed(7))
@@ -159,7 +178,7 @@ class TestExactOracle:
             trp_exact(ps)
 
     def test_budget_cap(self, monkeypatch):
-        # the 32 MiB budget takes 17 points (28 MiB), not 18
+        # the 32 MiB budget takes 17 points (17.7 MiB), not 18
         ps = sample_points(GridDensity.uniform(1), 17, RandomSeed(9))
         result = trp_exact(ps)
         assert sorted(result.route.order) == list(range(17))

@@ -27,7 +27,6 @@ from routebench.tsp import (
     NEIGHBORS,
     _distance_matrix,
     _held_karp,
-    _layers,
     _nearest,
     _neighbor_lists,
     _path_to,
@@ -45,6 +44,11 @@ def brute_force_tour(ps):
         order = (0,) + perm
         best = min(best, route_length(Route(order, closed=True), ps))
     return best
+
+
+def subset_masks(n, s):
+    """Every s-point subset of range(n) as a bitmask, in increasing order."""
+    return sorted(sum(1 << v for v in c) for c in itertools.combinations(range(n), s))
 
 
 def reference_held_karp(dist, start_cost, stop, weights=None):
@@ -654,7 +658,7 @@ class TestExactTour:
             tsp_exact(ps)
 
     def test_budget_cap(self, monkeypatch):
-        # the 32 MiB budget takes 17 points after the anchor (28 MiB), not 18
+        # the 32 MiB budget takes 17 points after the anchor (17.7 MiB), not 18
         ps = sample_points(GridDensity.uniform(1), 18, RandomSeed(1))
         result = tsp_exact(ps)
         assert sorted(result.route.order) == list(range(18))
@@ -669,23 +673,50 @@ class TestExactTour:
 
     @pytest.mark.parametrize("n", [2, 5, 12, 18])
     def test_state_index_covers_each_state_once(self, n):
-        # entry (j, r) of size s is the r-th mask ending at its j-th point;
-        # 8 bytes per state of sizes 2 to n, the index term of _require_budget
-        layers = _layers(n)
+        # column r of size s is the r-th s-point mask in increasing order and
+        # entry (j, r) ends at its j-th point; 8 bytes per state of sizes 1
+        # to n, the index term of _require_budget
         arrays = []
-        for s in range(2, n + 1):
+        below = np.zeros(1, dtype=np.int64)  # the one mask of size 0
+        for s in range(1, n + 1):
             scaled, prev = _states(n, s)
             arrays += [scaled, prev]
-            assert scaled.shape == prev.shape == (s, len(layers[s]))
+            layer = np.array(subset_masks(n, s), dtype=np.int64)
+            assert scaled.shape == prev.shape == (s, len(layer))
             v, rem = np.divmod(scaled, n)
-            mask = np.broadcast_to(layers[s], v.shape)
+            mask = np.broadcast_to(layer, v.shape)
             # s increasing points of an s-point mask, all in it: each of its states once
             assert not rem.any() and (np.diff(v, axis=0) > 0).all() and (mask >> v & 1).all()
-            assert np.array_equal(layers[s - 1][prev], mask ^ (1 << v))
+            assert np.array_equal(below[prev], mask ^ (1 << v))
+            below = layer
         assert all(a.dtype == np.int32 and not a.flags.writeable for a in arrays)
         buffers = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
-        index_bytes = 8 * sum(s * math.comb(n, s) for s in range(2, n + 1))
+        index_bytes = 8 * sum(s * math.comb(n, s) for s in range(1, n + 1))
         assert sum(a.nbytes for a in arrays) == sum(b.nbytes for b in buffers.values()) == index_bytes
+
+    def test_state_index_cache_holds_the_oracle_sizes(self):
+        # the oracle sizes of perfbench's `oracle` workload (tsp_exact on 12
+        # to 15 points, trp_exact on 10 to 13, ktsp_exact on 12) index every
+        # size over 10 to 14 points: 60 entries, which a second pass finds
+        # in the cache
+        from routebench import ktsp_exact, trp_exact
+
+        def run():
+            for n in range(10, 16):
+                ps = sample_points(GridDensity.uniform(1), n, RandomSeed(605, n))
+                if n >= 12:
+                    tsp_exact(ps)
+                if n <= 13:
+                    trp_exact(ps)
+                if n == 12:
+                    ktsp_exact(ps, 4)
+
+        _states.cache_clear()
+        run()
+        first = _states.cache_info()
+        run()
+        assert first.misses == first.currsize == 60
+        assert _states.cache_info().misses == first.misses
 
     @pytest.mark.parametrize("kind", ["random", "lattice", "stacked"])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -705,19 +736,20 @@ class TestExactTour:
         cost, parent = reference_held_karp(dist, start, stop, weights)
         tables = _held_karp(dist, start, stop, weights)
         assert len(tables) == stop + 1
-        for s, layer in enumerate(_layers(n)[: stop + 1]):
-            points = [[v for v in range(n) if m >> v & 1] for m in layer.tolist()]  # each mask's, increasing
+        for s in range(stop + 1):
+            layer = subset_masks(n, s)
+            points = [[v for v in range(n) if m >> v & 1] for m in layer]  # each mask's, increasing
             # entry (j, r): the r-th mask ending at its j-th point
-            expected = np.array([[cost[m, vs[j]] for m, vs in zip(layer.tolist(), points)] for j in range(s)])
+            expected = np.array([[cost[m, vs[j]] for m, vs in zip(layer, points)] for j in range(s)])
             expected = expected.reshape(s, len(layer))  # (0, 1) at s = 0
             assert tables[s].shape == expected.shape and tables[s].tobytes() == expected.tobytes()
-        for m in _layers(n)[stop].tolist():
-            for v in (v for v in range(n) if m >> v & 1):
+        for r, m in enumerate(subset_masks(n, stop)):
+            for j, v in enumerate(v for v in range(n) if m >> v & 1):
                 chain, state = [], (m, v)
                 while state[1] is not None:
                     chain.append(state[1])
                     state = (state[0] ^ (1 << state[1]), parent[state])
-                assert _path_to(tables, dist, m, v, weights) == chain[::-1]
+                assert _path_to(tables, dist, r, j, weights) == chain[::-1]
 
     def test_method_chain_ordering(self):
         # exact <= strip+2opt <= strip on every instance where all are defined
@@ -733,7 +765,11 @@ class TestExactTour:
                 assert sorted(result.route.order) == list(range(9))
 
 
-@pytest.mark.parametrize("oracle, n, k", [("tsp", 18, 0), ("trp", 17, 0), ("ktsp", 21, 4), ("ktsp", 20, 7), ("ktsp", 19, 8)])
+@pytest.mark.parametrize(
+    "oracle, n, k",
+    [("tsp", 18, 0), ("trp", 17, 0), ("ktsp", 58, 4), ("ktsp", 35, 5), ("ktsp", 26, 6), ("ktsp", 22, 7),
+     ("ktsp", 20, 8), ("ktsp", 18, 11)],
+)
 def test_budget_counts_the_peak(monkeypatch, oracle, n, k):
     # At each oracle's largest accepted n, the most memory one cold call
     # holds at once is no more than _require_budget counts for it.
@@ -752,7 +788,6 @@ def test_budget_counts_the_peak(monkeypatch, oracle, n, k):
         require(n + 1)
     ps = sample_points(GridDensity.uniform(1), n, RandomSeed(1400 + n, k))
     call = {"tsp": tsp_exact, "trp": trp_exact, "ktsp": lambda ps: ktsp_exact(ps, k)}[oracle]
-    tsp._layers.cache_clear()
     tsp._states.cache_clear()
     tracemalloc.start()
     try:
