@@ -491,21 +491,27 @@ def _group_by_cell(ids: np.ndarray, cells: int) -> tuple[np.ndarray, list[int]]:
 def sample_points(d: GridDensity, n: int, seed: RandomSeed) -> PointSet:
     """Draw n i.i.d. points: pick a cell by its mass, then uniform within it.
 
-    ``n`` is a nonnegative whole number (2.0 is, 2.5 is not).
+    ``n`` is a nonnegative whole number (2.0 is, 2.5 is not).  The stream
+    holds n cell uniforms, then n offset pairs; a point's x is
+    origin x + (its cell's column + its x offset) * (side / m), and its y
+    likewise with the row.  A one-cell density draws its n cell uniforms
+    and discards them, as its cell is always 0, so its stream and its
+    samples are those of the general draw, bit for bit.
     """
     n = _require_count("n", n)
     rng = seed.generator()
     m = d.m
-    # the draw of rng.choice(m * m, size=n, p=cells / m**2), whose checks of p GridDensity makes
-    cdf = np.cumsum(d.cells / (m * m))
-    cdf /= cdf[-1]
-    ids = cdf.searchsorted(rng.random(n), side="right")
-    offsets = rng.random((n, 2))
-    h = d.square.side / m
-    rows, cols = np.divmod(ids, m)
-    xs = d.square.origin[0] + (cols + offsets[:, 0]) * h
-    ys = d.square.origin[1] + (rows + offsets[:, 1]) * h
-    coords = np.column_stack([xs, ys])  # finite: drawn from a checked density
+    u = rng.random(n)
+    coords = rng.random((n, 2))  # the offsets, turned into points in place
+    if m > 1:
+        # the draw of rng.choice(m * m, size=n, p=cells / m**2), whose checks of p GridDensity makes
+        cdf = np.cumsum(d.cells / (m * m))
+        cdf /= cdf[-1]
+        rows, cols = np.divmod(cdf.searchsorted(u, side="right"), m)
+        coords[:, 0] += cols
+        coords[:, 1] += rows
+    coords *= d.square.side / m
+    coords += np.array(d.square.origin, dtype=np.float64)  # finite: drawn from a checked density
     if not _inside(coords, d.square):  # rounding past the top or right edge
         raise ValueError("all points must lie inside the bounding square")
     return PointSet._of(coords, d.square)

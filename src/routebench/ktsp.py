@@ -142,9 +142,11 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
 
     k = 2 and k = 3 are solved in closed form from the distance matrix
     (closest pair, best middle point).  Larger k runs the Held-Karp dynamic
-    program from every start point up to paths of k points: time O(k) and
-    memory 16 bytes per (subset, last point) state of at most k points,
-    and no parent table.  :func:`_exact_budget` caps n: 1182
+    program from every start point up to paths of k points: time
+    sum over s <= k of s(s - 1) * C(n, s) candidate sums, O(k^2 * C(n, k))
+    for k <= n/3 (there each size at least doubles the sums of the one
+    below), memory 16 bytes per (subset, last point) state of at most k
+    points, and no parent table.  :func:`_exact_budget` caps n: 1182
     at k <= 3, 58 at k = 4, 35 at k = 5, 26 at k = 6, 22 at k = 7, 20 at
     k = 8, 18 at k = 9 to 11, 17 at k = 12 to 17.  Among paths of equal
     cost, the lowest-index predecessor wins at every step.

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,10 +188,24 @@ class TestSampling:
 
         raw = np.random.default_rng(m).random(m * m)
         raw[1::3] = 0.0  # zero cells
-        for d in (GridDensity.uniform(m), GridDensity.from_raw(m, raw, Square((-3.5, 2.25), 7.0))):
+        densities = [GridDensity.uniform(m), GridDensity.from_raw(m, raw, Square((-3.5, 2.25), 7.0))]
+        if m == 1:  # one cell, whose draw skips the cell lookup: far, tiny and huge squares
+            squares = (Square((-1e6, 3e5), 1e-9), Square((5e8, -5e8), 1e6), Square((-2.5, 3.0), 4.0))
+            densities += [GridDensity.uniform(1, square) for square in squares]
+        for d in densities:
             for n in (0, 1, 2, 17, 2000):
                 for seed in (RandomSeed(0), RandomSeed(5, 3), RandomSeed(2**64 - 1, 2**63)):
-                    assert sample_points(d, n, seed).coords.tobytes() == by_choice(d, n, seed).tobytes()
+                    coords = sample_points(d, n, seed).coords
+                    assert coords.tobytes() == by_choice(d, n, seed).tobytes()
+                    (ox, oy), s = d.square.origin, d.square.side
+                    assert np.all((coords >= (ox, oy)) & (coords <= (ox + s, oy + s)))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rational_origin_gives_float_points(self, m):
+        # a Fraction origin used to give an object array of Fractions
+        ref = sample_points(GridDensity.uniform(m, Square((-3.5, 2.0), 7.0)), 50, RandomSeed(4)).coords
+        coords = sample_points(GridDensity.uniform(m, Square((Fraction(-7, 2), 2), 7)), 50, RandomSeed(4)).coords
+        assert coords.dtype == np.float64 and coords.tobytes() == ref.tobytes()
 
     def test_empty_sample(self):
         d = GridDensity.uniform(2)

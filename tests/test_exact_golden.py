@@ -1,12 +1,14 @@
 """Exact oracles on larger instances against recorded optimal values.
 
 The brute-force comparisons elsewhere only reach n <= 8; these instances
-reach the oracles' size caps (tsp n <= 18, trp n <= 17, ktsp n <= 21 at
-k = 4 and n <= 20 at k = 7), where only the subset dynamic program can
-answer.  The values up to n = 15 were recorded from the package's earlier
-pure-Python dynamic programs, one per oracle, and those at the caps from
-the numpy kernel with its numpy walk-back; all are stored as ``float.hex``
-literals so they survive a round trip exactly.
+reach n = 21 at k = 4 and n = 20 at k = 7 for ktsp and the size caps of
+tsp (n <= 18) and trp (n <= 17), where only the subset dynamic program can
+answer.  The ktsp sizes were its caps when they were recorded; the caps
+have since grown to n <= 58 at k = 4 and n <= 22 at k = 7.  The values up
+to n = 15 were recorded from the package's earlier pure-Python dynamic
+programs, one per oracle, and those at n >= 17 from the numpy kernel with
+its numpy walk-back; all are stored as ``float.hex`` literals so they
+survive a round trip exactly.
 """
 
 import hashlib
@@ -108,8 +110,9 @@ def _pin(value: float, route: Route) -> tuple[str, str]:
 
 
 KINDS = ("random", "lattice", "stacked")
-# each kind once more at the caps, the only sizes at which a walk-back
-# step handles more than 15 points
+# each kind once more at the tsp and trp caps and at (21, 4) and (20, 7),
+# the ktsp caps when recorded: the only sizes at which a walk-back step
+# handles more than 15 points
 TSP_CASES = [("random", n) for n in (4, 7, 10, 13, 15)] + [("lattice", 12), ("lattice", 15), ("stacked", 9)]
 TSP_CASES += [(kind, 18) for kind in KINDS]
 TRP_CASES = [("random", n) for n in (4, 7, 10, 13)] + [("lattice", 10), ("lattice", 13), ("stacked", 8)]
