@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -98,7 +99,7 @@ def _require_finite(**values: float) -> None:
     """ValueError naming the first keyword argument that is not a finite real."""
     for name, value in values.items():
         try:
-            finite = math.isfinite(value)
+            finite = isinstance(value, numbers.Real) and math.isfinite(value)  # not Decimal or str
         except (TypeError, OverflowError):
             finite = False
         if not finite:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import GridDensity, PointSet, Route, Square, _cell_ids, _path_length, route_length
 from .core import _require_count, _require_finite, _require_int
-from .tsp import _distance_matrix, _held_karp, _path_to, _require_budget, strip_two_opt
+from .tsp import _distance_matrix, _held_karp, _knn, _path_to, _require_budget, strip_two_opt
 
 __all__ = [
     "KtspResult",
@@ -140,31 +140,33 @@ def ktsp_nonuniform_scheme(ps: PointSet, d: GridDensity, k: int) -> KtspResult:
 def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
     """Shortest open path through exactly k of the n points.
 
-    k = 2 and k = 3 are solved in closed form from the distance matrix
-    (closest pair, best middle point).  Larger k runs the Held-Karp dynamic
-    program from every start point up to paths of k points: time
-    sum over s <= k of s(s - 1) * C(n, s) candidate sums, O(k^2 * C(n, k))
-    for k <= n/3 (there each size at least doubles the sums of the one
-    below), memory 16 bytes per (subset, last point) state of at most k
-    points, and no parent table.  :func:`_exact_budget` caps n: 1182
-    at k <= 3, 58 at k = 4, 35 at k = 5, 26 at k = 6, 22 at k = 7, 20 at
-    k = 8, 18 at k = 9 to 11, 17 at k = 12 to 17.  Among paths of equal
-    cost, the lowest-index predecessor wins at every step.
+    k = 2 and k = 3 are solved in closed form from each point's k - 1
+    nearest others (:func:`~routebench.tsp._knn`, the 2-opt candidate
+    search): the closest pair, or the point whose two nearest others lie
+    closest, between them; memory O(n) and no cap.  Larger k runs the
+    Held-Karp dynamic program from every start point up to paths of k
+    points: time sum over s <= k of s(s - 1) * C(n, s) candidate sums,
+    O(k^2 * C(n, k)) for k <= n/3 (there each size at least doubles the
+    sums of the one below), memory 16 bytes per (subset, last point) state
+    of at most k points, and no parent table.  :func:`_exact_budget` caps
+    n: 58 at k = 4, 35 at k = 5, 26 at k = 6, 22 at k = 7, 20 at k = 8,
+    18 at k = 9 to 11, 17 at k = 12 to 17.  Among paths of equal cost, the
+    lowest-index predecessor wins at every step.
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", len(ps), k)
     _exact_budget(n, k)
-    dist = _distance_matrix(ps)
 
     if k <= 3:  # the point whose k - 1 nearest others lie closest, with them
-        np.fill_diagonal(dist, np.inf)
-        near = np.argsort(dist, axis=1, kind="stable")[:, :2] if k == 3 else dist.argmin(axis=1)[:, None]
-        totals = np.take_along_axis(dist, near, axis=1).sum(axis=1)
+        near = _knn(ps.coords, k - 1)[0]
+        gaps = ps.coords[:, None, :] - ps.coords.take(near, axis=0)
+        totals = np.hypot(gaps[..., 0], gaps[..., 1]).sum(axis=1)
         mid = int(np.argmin(totals))
         a, *b = near[mid].tolist()  # at k = 2 mid < a: mid is the first row holding the least pair
         order = (mid, a) if k == 2 else (a, mid, *b)
         return KtspResult(Route._of(order, closed=False), float(totals[mid]), 0, None)
 
+    dist = _distance_matrix(ps)
     cost = _held_karp(dist, np.zeros(n), k)
     # among ties the lowest mask, then the highest last point: of a path and
     # its reverse at equal cost, the one starting at the lower index
@@ -176,8 +178,10 @@ def ktsp_exact(ps: PointSet, k: int) -> KtspResult:
 
 
 def _exact_budget(n: int, k: int) -> None:
-    """:func:`_require_budget` for ktsp_exact, whose k = 2 and 3 need no DP."""
-    _require_budget(f"ktsp_exact at k = {k}", n, n if k >= 4 else 0, k)
+    """:func:`_require_budget` for ktsp_exact's dynamic program; the closed
+    forms at k = 2 and 3 have no cap."""
+    if k >= 4:
+        _require_budget(f"ktsp_exact at k = {k}", n, n, k)
 
 
 def ktsp_rate(k: int, n: int, area: float) -> float:

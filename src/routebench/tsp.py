@@ -200,17 +200,37 @@ def _grid_neighbors(pts: np.ndarray, k: int, nbr: np.ndarray, d2s: np.ndarray) -
     return np.flatnonzero(d2s[:, -1] >= np.where(margin > 0, margin, 0.0) ** 2)
 
 
-def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tuple[int, float]]]]:
-    """The k nearest other points of each point: as an index array, and as
-    lists of (index, distance) pairs.
+def _knn(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k < t nearest other points of each of the t points, and their
+    squared distances: two (t, k) arrays, nearest first, ties to the lower
+    index.
 
-    Neighbours run nearest first, ties to the lower index.  Up to
-    ``_SORT_MAX`` points, the squared distances are Python floats, bit-equal
-    to numpy's, and each row is sorted in Python.
     From ``_GRID_MIN`` points on a grid search settles most rows, and each
     other row takes all points as candidates; :func:`_nearest` selects from
     both, in blocks of at most max(``_KNN_BLOCK``, t) distances, so memory
     is O(t * k) plus one block.
+    """
+    t = len(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    nbr = np.empty((t, k), dtype=np.int64)
+    d2s = np.empty((t, k))
+    todo = _grid_neighbors(pts, k, nbr, d2s)
+    rows = max(1, _KNN_BLOCK // t)
+    cand = np.tile(np.arange(t), (min(rows, len(todo)), 1))  # every point, in each row of a block
+    for lo in range(0, len(todo), rows):
+        part = todo[lo : lo + rows]
+        d2 = (x[part, None] - x) ** 2 + (y[part, None] - y) ** 2
+        d2[np.arange(len(part)), part] = np.inf
+        nbr[part], d2s[part] = _nearest(d2, cand[: len(part)], k)
+    return nbr, d2s
+
+
+def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tuple[int, float]]]]:
+    """:func:`_knn`'s neighbours of each point: as an index array, and as
+    lists of (index, distance) pairs.
+
+    Up to ``_SORT_MAX`` points, the squared distances are Python floats,
+    bit-equal to numpy's, and each row is sorted in Python.
     """
     t = len(pts)
     if t <= _SORT_MAX:
@@ -223,17 +243,7 @@ def _neighbor_lists(pts: np.ndarray, k: int) -> tuple[np.ndarray, list[list[tupl
         near = [sorted(range(t), key=row.__getitem__)[:k] for row in rows]
         return np.array(near), [[(j, math.sqrt(row[j])) for j in js] for row, js in zip(rows, near)]
 
-    x, y = pts[:, 0], pts[:, 1]
-    nbr = np.empty((t, k), dtype=np.int64)
-    d2s = np.empty((t, k))
-    todo = _grid_neighbors(pts, k, nbr, d2s)
-    rows = max(1, _KNN_BLOCK // t)
-    cand = np.tile(np.arange(t), (min(rows, len(todo)), 1))  # every point, in each row of a block
-    for lo in range(0, len(todo), rows):
-        part = todo[lo : lo + rows]
-        d2 = (x[part, None] - x) ** 2 + (y[part, None] - y) ** 2
-        d2[np.arange(len(part)), part] = np.inf
-        nbr[part], d2s[part] = _nearest(d2, cand[: len(part)], k)
+    nbr, d2s = _knn(pts, k)
     pairs = list(zip(nbr.ravel().tolist(), np.sqrt(d2s).ravel().tolist()))
     return nbr, [pairs[i : i + k] for i in range(0, t * k, k)]
 
@@ -567,18 +577,16 @@ def _others(s: int) -> np.ndarray:
 def _require_budget(oracle: str, n: int, points: int, stop: int) -> None:
     """Raise ``CapacityError`` if ``oracle`` on n points may hold more than
     ``EXACT_BUDGET`` bytes at once: 24 per pair for the distance matrix at
-    its peak, plus, for Held-Karp over ``points`` points (0: none) up to
-    paths of ``stop`` points, 8 bytes per state in the tables and 8 more
-    in the :func:`_states` index, 8 per subset of the widest size (at
-    least what the minimum over a table's columns or a :func:`_states`
-    build holds besides) and 32 per candidate sum of one block.  That is
-    the peak of a call with cold caches, or more."""
-    need = 24 * n * n
-    if points:
-        p = min(points, 64)  # every term grows with p: past 64 points, a lower bound
-        states = sum(s * math.comb(p, s) for s in range(1, stop + 1))
-        widest = math.comb(p, min(stop, p // 2))  # the most subsets of one size up to stop
-        need += 16 * states + 8 * widest + 32 * _HK_BLOCK
+    its peak, plus, for Held-Karp over ``points`` points up to paths of
+    ``stop`` points, 8 bytes per state in the tables and 8 more in the
+    :func:`_states` index, 8 per subset of the widest size (at least what
+    the minimum over a table's columns or a :func:`_states` build holds
+    besides) and 32 per candidate sum of one block.  That is the peak of a
+    call with cold caches, or more."""
+    p = min(points, 64)  # every term grows with p: past 64 points, a lower bound
+    states = sum(s * math.comb(p, s) for s in range(1, stop + 1))
+    widest = math.comb(p, min(stop, p // 2))  # the most subsets of one size up to stop
+    need = 24 * n * n + 16 * states + 8 * widest + 32 * _HK_BLOCK
     if need > EXACT_BUDGET:
         mib = f"{need / 2**20:.4g} MiB, over the {EXACT_BUDGET >> 20} MiB budget"
         raise CapacityError(f"{oracle} on {n} points needs {mib}")

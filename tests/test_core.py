@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -543,12 +544,18 @@ class TestValidationAndIO:
             (5, 1.0, "square origin must be a pair"),
             ((0.0, 0.0, 0.0), 1.0, "square origin must be a pair"),
             ((0.0, 0.0), 0.0, "square side must be positive"),
+            ((Decimal("0.5"), 0.0), 1.0, "square origin x must be finite"),
+            ((0.0, 0.0), Decimal("1"), "square side must be finite"),
         ],
-        ids=["huge-side", "string-side", "inf-side", "nan-x", "huge-y", "none-y", "int-origin", "triple", "zero-side"],
+        ids=[
+            "huge-side", "string-side", "inf-side", "nan-x", "huge-y", "none-y", "int-origin", "triple", "zero-side",
+            "decimal-x", "decimal-side",
+        ],
     )
     def test_square_parameters_are_finite_reals(self, origin, side, name):
         # an int beyond float range raised OverflowError, a string side
-        # TypeError and an origin that is not a pair TypeError
+        # TypeError and an origin that is not a pair TypeError; a Decimal
+        # origin built a square that sampling then failed on with TypeError
         with pytest.raises(ValueError, match=name):
             Square(origin, side)
 

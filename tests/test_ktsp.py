@@ -289,20 +289,45 @@ class TestExactOracle:
                 ktsp_exact(sample_points(GridDensity.uniform(1), n, RandomSeed(10)), k)
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_closed_form_budget_cap(self, monkeypatch, k):
-        # the distance matrix peaks at 24 bytes per pair: 1182 points fit in
-        # 32 MiB, 1183 do not; neither matrix is built here
-        class Built(Exception):
-            pass
+    @pytest.mark.parametrize("n", [17, 200, 1182])
+    @pytest.mark.parametrize("layout", ["uniform", "half-clustered", "lattice", "stacked"])
+    def test_closed_form_matches_matrix_reference(self, layout, n, k):
+        # the closed forms used to read each point's nearest others off a
+        # stable argsort of the distance matrix; that code, kept here as the
+        # reference, must give the same route and bits
+        rng = np.random.default_rng([n, k])
+        pts = rng.random((n, 2))
+        if layout == "half-clustered":
+            pts[: n // 2] = 0.5 + 0.01 * pts[: n // 2]
+        elif layout == "lattice":  # many equal distances
+            pts = np.round(pts * 5) / 5
+        elif layout == "stacked":  # duplicate points: pairs at distance 0
+            pts = pts[rng.integers(0, n // 4, n)]
+        ps = PointSet(pts, Square((0.0, 0.0), 1.0))
 
+        diff = ps.coords[:, None, :] - ps.coords[None, :, :]
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        np.fill_diagonal(dist, np.inf)
+        near = np.argsort(dist, axis=1, kind="stable")[:, :2] if k == 3 else dist.argmin(axis=1)[:, None]
+        totals = np.take_along_axis(dist, near, axis=1).sum(axis=1)
+        mid = int(np.argmin(totals))
+        a, *b = near[mid].tolist()
+
+        result = ktsp_exact(ps, k)
+        assert result.route.order == ((mid, a) if k == 2 else (a, mid, *b))
+        assert result.length.hex() == float(totals[mid]).hex()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_closed_form_without_matrix(self, monkeypatch, k):
+        # no cap and no n x n array: the matrix path would peak at 224 GiB here
         def no_matrix(ps):
-            raise Built
+            raise AssertionError("distance matrix built for a closed form")
 
         monkeypatch.setattr(ktsp, "_distance_matrix", no_matrix)
-        with pytest.raises(Built):
-            ktsp_exact(sample_points(GridDensity.uniform(1), 1182, RandomSeed(11)), k)
-        with pytest.raises(CapacityError, match="on 1183 points"):
-            ktsp_exact(sample_points(GridDensity.uniform(1), 1183, RandomSeed(11)), k)
+        ps = sample_points(GridDensity.uniform(1), 10**5, RandomSeed(11))
+        result = ktsp_exact(ps, k)
+        assert len(set(result.route.order)) == k and not result.route.closed
+        assert result.length.hex() == route_length(result.route, ps).hex()
 
 
 class TestNonuniformScheme:

@@ -415,6 +415,26 @@ class TestTwoOptKernel:
                 assert [dc for _, dc in row] == pytest.approx([math.dist(pts[i], pts[c]) for c, _ in row], rel=1e-15)
 
 
+def test_knn_matches_brute_force_at_every_k():
+    # _knn below the candidate lists' sizes and at every k < t: ktsp_exact
+    # reads it at k = 1 and 2 from two points on
+    rng = np.random.default_rng(16)
+    for trial in range(60):
+        t = int(rng.integers(2, 40))
+        pts = rng.random((t, 2))
+        if trial % 3 == 1:  # lattice: many ties
+            pts = np.round(pts * 3) / 3
+        elif trial % 3 == 2:  # stacked: duplicates at distance 0
+            pts = pts[rng.integers(0, max(1, t // 3), t)]
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        order = np.lexsort((np.broadcast_to(np.arange(t), d2.shape), d2), axis=1)
+        for k in range(1, t):
+            nbr, d2s = tsp._knn(pts, k)
+            assert nbr.tolist() == order[:, :k].tolist()
+            assert d2s.tolist() == np.take_along_axis(d2, order[:, :k], axis=1).tolist()
+
+
 def test_nearest_kernel_matches_brute_force():
     # the one selection kernel of the grid windows and the dense fallback:
     # per row, the first k columns of a stable sort by (distance, candidate)
