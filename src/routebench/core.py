@@ -138,7 +138,18 @@ class Square:
             raise ValueError(f"cell index {k} out of range for m={m}")
         h = self.side / m
         row, col = divmod(k, m)
-        return Square((self.origin[0] + col * h, self.origin[1] + row * h), h)
+        origin = (self.origin[0] + col * h, self.origin[1] + row * h)
+        if h > 0 and math.isfinite(origin[0]) and math.isfinite(origin[1]):
+            return Square._of(origin, h)
+        return Square(origin, h)  # a side that underflows or an origin that overflows: ValueError
+
+    @classmethod
+    def _of(cls, origin: tuple[float, float], side: float) -> "Square":
+        """A square with a pair of finite reals ``origin`` and a positive
+        finite real ``side``: unchecked."""
+        square = object.__new__(cls)
+        square.__dict__.update(origin=origin, side=side)
+        return square
 
     def cell_center(self, m: int, k: int) -> Point:
         c = self.cell(m, k)
@@ -203,10 +214,14 @@ class PointSet:
             indices.dtype.kind not in "iu" or indices.astype(np.intp, copy=False).view(np.uintp).max() >= n
         ):
             raise ValueError(f"indices must be integers in [0, {n}), got {_brief(indices.tolist())}")
-        coords = self.coords.take(indices.astype(np.intp, copy=False), axis=0)  # a fresh copy of finite points
-        if coords.ndim != 2:
+        if indices.ndim != 1:
             raise ValueError("coords must have shape (n, 2)")
-        square = square or self.square
+        return self._subset(indices.astype(np.intp, copy=False), square or self.square)
+
+    def _subset(self, indices: np.ndarray, square: Square) -> "PointSet":
+        """:meth:`subset` without its index test: ``indices`` is a 1-d intp
+        array of indices in [0, n).  The edge clip still runs."""
+        coords = self.coords.take(indices, axis=0)  # a fresh copy of finite points
         if not _inside(coords, square):
             lo = np.array(square.origin)
             inside = np.clip(coords, lo, lo + square.side)
@@ -338,8 +353,15 @@ class RandomSeed:
         )
         return np.random.Generator(np.random.PCG64(ss))
 
+    @classmethod
+    def _of(cls, master_seed: int, stream_index: int) -> "RandomSeed":
+        """A seed of two Python ints in [0, 2**64): unchecked."""
+        seed = object.__new__(cls)
+        seed.__dict__.update(master_seed=master_seed, stream_index=stream_index)
+        return seed
+
     def child(self, *keys) -> "RandomSeed":
-        return RandomSeed(self.master_seed, stable_stream(self.stream_index, *keys))
+        return RandomSeed._of(self.master_seed, stable_stream(self.stream_index, *keys))
 
 
 def stable_stream(*parts) -> int:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridDensity, PointSet, PopulationGridDensity, RandomSeed, Square, cell_ids, sample_points
-from .core import _cell_ids, _group_by_cell, _require_count, _require_finite, _require_int
+from .core import _brief, _cell_ids, _group_by_cell, _require_count, _require_finite, _require_int
 from .errors import InfeasibleError
 from .ktsp import KtspResult, _ktsp_in_region, ktsp_nonuniform_scheme
 
@@ -251,7 +251,9 @@ def fair_ktsp_sample(
     y0 = min(r.origin[1] for r in rects)
     x1 = max(r.origin[0] + r.side for r in rects)
     y1 = max(r.origin[1] + r.side for r in rects)
-    region = Square((x0, y0), max(x1 - x0, y1 - y0))
+    side = max(x1 - x0, y1 - y0)
+    # cells of a checked square: only a side lost to rounding or overflow needs the checks
+    region = Square._of((x0, y0), side) if 0 < side < math.inf else Square((x0, y0), side)
 
     result = _ktsp_in_region(ps, members, region, k, cell)
 
@@ -312,7 +314,9 @@ def geographic_service_map(
 
     k is an integer of at least 2, n and trials are whole numbers (trials at
     least 1) and z, the normal quantile of the half widths, is finite and
-    nonnegative; anything else raises ``ValueError``.
+    nonnegative; anything else raises ``ValueError``.  So does a trial in
+    which ``scheme`` returns anything but k distinct integer indices in
+    [0, n); the message names the trial.
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", n)
@@ -327,7 +331,13 @@ def geographic_service_map(
         trial_seed = seed.child("service-map", t)
         ps = sample_points(d, n, trial_seed)
         rng = trial_seed.child("scheme").generator()
-        chosen = np.asarray(list(scheme(ps, d, k, rng)), dtype=np.int64)
+        chosen = np.asarray(list(scheme(ps, d, k, rng)))
+        valid = chosen.shape == (k,) and chosen.dtype.kind in "iu" and chosen.min() >= 0 and chosen.max() < n
+        if not valid or len(np.unique(chosen)) != k:
+            raise ValueError(
+                f"trial {t}: the scheme must serve {k} distinct integer indices in [0, {n}), "
+                f"got {_brief(chosen.tolist())}"
+            )
         ids = _cell_ids(ps.coords, d.square, d.m)  # ps was sampled from d
         totals += np.bincount(ids, minlength=m2)
         served += np.bincount(ids[chosen], minlength=m2)

@@ -386,7 +386,7 @@ def _run_trial(payload) -> list[tuple[str, int, int, int, int, float]]:
     """One Monte Carlo trial; returns rows (label, n, k, trial, seed, value)."""
     kind, density, n, k, trial, master_seed, context = payload
     stream = stable_stream(kind, n, k, trial)
-    pairs = _KINDS[kind].trial(density, n, k, RandomSeed(master_seed, stream), context)
+    pairs = _KINDS[kind].trial(density, n, k, RandomSeed._of(master_seed, stream), context)  # the config checked the seed
     return [(kind + suffix, n, k, trial, stream, value) for suffix, value in pairs]
 
 

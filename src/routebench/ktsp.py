@@ -94,7 +94,7 @@ def ktsp_grid_scheme(ps: PointSet, k: int) -> KtspResult:
     d2 = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2
     chosen = members[np.argsort(d2, kind="stable")[:k]]  # members ascend: ties to the lower index
 
-    sub = ps.subset(chosen, box)
+    sub = ps._subset(chosen, box)
     tour = strip_two_opt(sub).route.order
     # open the tour at its longest edge; the edge after position i ends at i + 1
     pts = sub.coords.take(tour, axis=0)
@@ -113,7 +113,7 @@ def _lift(ps: PointSet, members: np.ndarray, order) -> tuple[Route, float]:
 def _ktsp_in_region(ps: PointSet, members: np.ndarray, region: Square, k: int, density_cell: int) -> KtspResult:
     """The grid scheme on the points ``members`` of ps, taken as a point set
     of ``region``, with its path lifted back to ps's indices."""
-    inner = ktsp_grid_scheme(ps.subset(members, region), k)
+    inner = ktsp_grid_scheme(ps._subset(members, region), k)
     return KtspResult(*_lift(ps, members, inner.route.order), inner.alpha_used, inner.cell_chosen, density_cell)
 
 

@@ -130,7 +130,7 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
         members = by_cell[bounds[cell] : bounds[cell + 1]]
         if members.size == 0:
             continue
-        sub = ps.subset(members, d.square.cell(m, cell))
+        sub = ps._subset(members, d.square.cell(m, cell))
         tour = np.array(strip_two_opt(sub).route.order, dtype=np.intp)
         pts = sub.coords.take(tour, axis=0)
         dists = np.hypot(pts[:, 0] - exit_pos[0], pts[:, 1] - exit_pos[1])

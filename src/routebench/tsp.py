@@ -397,6 +397,8 @@ def two_opt(ps: PointSet, start: Route, *, _length: float | None = None) -> TspR
         raise ValueError("two_opt expects a closed starting route")
     order = start.order
     t = len(order)
+    if t < 4 and _length is not None:  # no move exists; strip_two_opt built start over ps
+        return TspResult(start, _length, "strip+2opt")
     coords = _route_points(start, ps)
     start_length = _path_length(coords, closed=True) if _length is None else _length
     if t < 4:

@@ -13,8 +13,10 @@ import routebench
 from routebench import (
     GridDensity,
     InfeasibleError,
+    PointSet,
     PopulationGridDensity,
     RandomSeed,
+    Square,
     density_from_json,
     density_to_json,
     deterministic_fairness_ratio,
@@ -251,6 +253,30 @@ class TestFairSampler:
         with pytest.raises(ValueError):
             fair_ktsp_sample(SEGREGATED, mix, ps, 6, RandomSeed(50))
 
+    def test_point_set_on_a_wider_square(self):
+        # the sampler reads cells from the population's square, whatever
+        # square the point set carries, as long as its points lie in it
+        mix = fairness_lp(SEGREGATED, 3, [0.5, 0.5], 0.0)
+        ps = sample_points(SEGREGATED.total, 80, RandomSeed(53))
+        wide = PointSet(ps.coords, Square((-1.0, -0.5), 3.0))
+        for trial in range(20):
+            ref = fair_ktsp_sample(SEGREGATED, mix, ps, 3, RandomSeed(54, trial))
+            got = fair_ktsp_sample(SEGREGATED, mix, wide, 3, RandomSeed(54, trial))
+            assert got.route == ref.route and got.length.hex() == ref.length.hex()
+            assert got.served_counts == ref.served_counts
+        outside = PointSet(np.vstack([ps.coords, [[1.5, 0.5]]]), wide.square)
+        with pytest.raises(ValueError, match="point outside the bounding square"):
+            fair_ktsp_sample(SEGREGATED, mix, outside, 3, RandomSeed(54))
+
+    def test_cell_side_lost_to_rounding_rejected(self):
+        # at 1e20 a cell's far edge rounds onto its origin: the routing
+        # region would have side 0
+        pop = PopulationGridDensity(2, SEGREGATED.layers, Square((1e20, 1e20), 1.0))
+        mix = fairness_lp(pop, 2, [0.5, 0.5], 0.0)
+        ps = sample_points(pop.total, 20, RandomSeed(55))
+        with pytest.raises(ValueError, match="square side must be positive"):
+            fair_ktsp_sample(pop, mix, ps, 2, RandomSeed(56))
+
     def test_single_population_matches_plain_scheme(self):
         # one population, one cell: the fair sampler is the plain grid scheme
         pop = PopulationGridDensity(1, np.array([[1.0]]))
@@ -302,6 +328,16 @@ class TestServiceMap:
         # used to return negative half widths
         with pytest.raises(ValueError, match="z must be nonnegative"):
             geographic_service_map(random_subset_scheme, GridDensity.uniform(2), 5, 100, 3, RandomSeed(65), z=-1.96)
+
+    @pytest.mark.parametrize("selection", [[-1, 0], [0, 0], [0, 1, 2], [500, 0], [0.0, 1.0], [True, False]])
+    def test_scheme_selection_checked(self, selection):
+        # a wrapped, repeated, extra, out-of-range, float or boolean index
+        # must not be counted as a served point
+        def scheme(ps, d, k, rng):
+            return selection
+
+        with pytest.raises(ValueError, match="trial 0: the scheme must serve 2 distinct integer indices"):
+            geographic_service_map(scheme, GridDensity.uniform(2), 2, 50, 3, RandomSeed(66))
 
     def test_occupancy_weighted_sum_is_service_rate(self):
         d = GridDensity.uniform(2)

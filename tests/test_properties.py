@@ -32,7 +32,7 @@ from routebench import (
     tsp_exact,
     two_opt,
 )
-from routebench.core import cell_ids
+from routebench.core import cell_ids, stable_stream
 from routebench.ktsp import _grid_resolution
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
@@ -302,3 +302,86 @@ class TestFairnessLp:
         assert mix.objective <= costs @ w + 1e-12
         assert mix.objective == costs @ q
         assert len(mix.support) <= P + (epsilon > 0)
+
+
+class TestUncheckedConstructors:
+    """What the library builds without the public checks equals what the
+    checked constructors build from the same values."""
+
+    @PROPERTY
+    @given(squares, st.integers(1, 20), st.data())
+    def test_cell_equals_checked_square(self, square, m, data):
+        k = data.draw(st.integers(0, m * m - 1))
+        cell = square.cell(m, k)
+        h = square.side / m
+        row, col = divmod(k, m)
+        checked = Square((square.origin[0] + col * h, square.origin[1] + row * h), h)
+        assert cell == checked and hash(cell) == hash(checked)
+        assert cell == Square(cell.origin, cell.side)
+
+    @pytest.mark.parametrize("m, k", [(0, 0), (2.0, 1), (None, 0), (2, -1), (2, 1.0), (2, 4), (3, 9), (2, "1")])
+    def test_cell_still_checks_m_and_k(self, m, k):
+        with pytest.raises(ValueError):
+            UNIT_SQUARE.cell(m, k)
+
+    @pytest.mark.parametrize("square, m, k", [(Square((0.0, 0.0), 5e-324), 2, 0), (Square((1.7e308, 0.0), 1.7e308), 2, 1)])
+    def test_cell_beyond_float_range_raises(self, square, m, k):
+        # a side that underflows to 0, an origin that overflows to inf
+        with pytest.raises(ValueError, match="square"):
+            square.cell(m, k)
+
+    @PROPERTY
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**64 - 1),
+        st.lists(st.one_of(st.text(max_size=8), st.integers(-(2**70), 2**70)), max_size=4),
+    )
+    def test_child_equals_checked_seed(self, master, stream, keys):
+        seed = RandomSeed(master, stream)
+        child = seed.child(*keys)
+        checked = RandomSeed(seed.master_seed, stable_stream(seed.stream_index, *keys))
+        assert child == checked and hash(child) == hash(checked)
+        assert type(child.master_seed) is int and type(child.stream_index) is int
+        assert child.generator().random() == checked.generator().random()
+
+    @PROPERTY
+    @given(squares, fractions, st.integers(1, 6), st.data())
+    def test_private_subset_equals_public(self, square, fracs, m, data):
+        # the selection is taken as a point set of one cell of ``square``:
+        # points on the cell's corners moved 0-3 ulps outwards, which the
+        # edge clip moves back, and maybe one point too far out for it; the
+        # point set's own square is three times as wide, so it holds them all
+        outer = Square((square.origin[0] - square.side, square.origin[1] - square.side), 3 * square.side)
+        rect = square.cell(m, data.draw(st.integers(0, m * m - 1)))
+        lo = np.asarray(rect.origin)
+        coords = lo + np.array(fracs, dtype=np.float64).reshape(-1, 2).round() * rect.side
+        for _ in range(data.draw(st.integers(0, 3))):
+            coords = np.nextafter(coords, np.where(coords > lo + rect.side / 2, np.inf, -np.inf))
+        if len(coords) and data.draw(st.booleans()):
+            coords[0] = lo - 1e-6 * rect.side
+        ps = PointSet(coords, outer)
+        n = len(ps)
+        chosen = data.draw(st.lists(st.integers(0, n - 1), max_size=n)) if n else []
+        try:
+            public = ps.subset(chosen, rect)
+        except ValueError:
+            with pytest.raises(ValueError, match="inside the bounding square"):
+                ps._subset(np.array(chosen, dtype=np.intp), rect)
+            return
+        private = ps._subset(np.array(chosen, dtype=np.intp), rect)
+        assert private.square == public.square == rect
+        assert private.coords.dtype == public.coords.dtype == np.float64
+        assert private.coords.shape == public.coords.shape == (len(chosen), 2)
+        assert private.coords.tobytes() == public.coords.tobytes()
+        assert not private.coords.flags.writeable
+
+    def test_private_subset_of_nothing(self):
+        ps = PointSet([[0.25, 0.75]])
+        empty = ps._subset(np.array([], dtype=np.intp), UNIT_SQUARE.cell(2, 0))
+        assert empty.coords.shape == ps.subset([], UNIT_SQUARE.cell(2, 0)).coords.shape == (0, 2)
+
+    @pytest.mark.parametrize("indices", [[True, False], np.array([False, True]), [-1], [0, -2], [0.0], [1.5, 0]])
+    def test_public_subset_still_checks_indices(self, indices):
+        ps = PointSet([[0.1, 0.1], [0.9, 0.9]])
+        with pytest.raises(ValueError, match="indices must be integers"):
+            ps.subset(indices)
