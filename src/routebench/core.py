@@ -14,6 +14,7 @@ threads or processes; randomness always flows through an explicit
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -54,9 +55,8 @@ __all__ = [
 BETA_TSP_BRACKET = (0.6250, 0.9204)
 
 
-# The scalar input contract.  Every public entry point checks its scalar
-# arguments with one of these three rules and raises ValueError naming the
-# argument; arrays are checked where they are built.
+# The input contract: every public entry point checks its scalars, index selections and
+# planar pairs with these five rules, which raise ValueError naming the argument.
 
 
 def _brief(value) -> str:
@@ -106,6 +106,31 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {_brief(value)}")
 
 
+def _require_indices(name: str, values, n: int | None = None) -> np.ndarray:
+    """``values`` as a 1-d intp array; ValueError naming ``name`` unless it is a sequence or
+    1-d array of integers (not bools) in [0, n), or in [0, 2**63) when n is None; it may be empty."""
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    idx = arr.astype(np.intp, copy=False) if arr.ndim == 1 and (arr.dtype.kind in "iu" or not arr.size) else None
+    if arr.ndim == 1 and arr.dtype == object:  # entry by entry; a bool is swapped for None, which fails
+        with contextlib.suppress(TypeError, OverflowError):  # OverflowError: an int beyond 64 bits
+            idx = np.array([operator.index(None if isinstance(v, (bool, np.bool_)) else v) for v in arr], dtype=np.intp)
+    # one reduction: viewed unsigned, a negative (or wrapped uint64) index reads as past the bound
+    if idx is None or (idx.size and idx.view(np.uintp).max() >= (2**63 if n is None else n)):
+        rule = f"integers in [0, {n})" if n is not None else "nonnegative integers below 2**63"
+        raise ValueError(f"{name} must be {rule} in shape (k,), got {_brief(values)}")
+    return idx
+
+
+def _require_pair(name: str, value) -> tuple[float, float]:
+    """``value`` as (x, y); ValueError naming ``name`` unless it is a pair of finite reals."""
+    try:
+        x, y = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair, got {_brief(value)}") from None
+    _require_finite(**{f"{name} x": x, f"{name} y": y})
+    return x, y
+
+
 class Point(NamedTuple):
     x: float
     y: float
@@ -119,11 +144,8 @@ class Square:
     side: float
 
     def __post_init__(self):
-        try:
-            ox, oy = self.origin
-        except (TypeError, ValueError):
-            raise ValueError(f"square origin must be a pair, got {_brief(self.origin)}") from None
-        _require_finite(**{"square origin x": ox, "square origin y": oy, "square side": self.side})
+        object.__setattr__(self, "origin", _require_pair("square origin", self.origin))  # a tuple, so hashable
+        _require_finite(**{"square side": self.side})
         if self.side <= 0:
             raise ValueError("square side must be positive")
 
@@ -207,16 +229,7 @@ class PointSet:
         outside it raises ``ValueError``.  Indices must be integers (not
         bools) in [0, n); ``ValueError`` otherwise.
         """
-        n = len(self.coords)
-        indices = np.asarray(indices)
-        # one reduction: viewed unsigned, a negative index reads as past n
-        if indices.size and (
-            indices.dtype.kind not in "iu" or indices.astype(np.intp, copy=False).view(np.uintp).max() >= n
-        ):
-            raise ValueError(f"indices must be integers in [0, {n}), got {_brief(indices.tolist())}")
-        if indices.ndim != 1:
-            raise ValueError("coords must have shape (n, 2)")
-        return self._subset(indices.astype(np.intp, copy=False), square or self.square)
+        return self._subset(_require_indices("indices", indices, len(self.coords)), square or self.square)
 
     def _subset(self, indices: np.ndarray, square: Square) -> "PointSet":
         """:meth:`subset` without its index test: ``indices`` is a 1-d intp
@@ -235,8 +248,8 @@ class PointSet:
 class Route:
     """A visiting order over point indices; closed routes return to the start.
 
-    Indices must be integers (Python or numpy; floats are rejected, not
-    truncated), distinct and nonnegative.  ``order`` is stored as a tuple of
+    Indices must be distinct integers in [0, 2**63) (Python or numpy; floats
+    and bools are rejected, not cast).  ``order`` is stored as a tuple of
     Python ints.  Routes the library builds are not checked again (``_of``).
     """
 
@@ -244,12 +257,7 @@ class Route:
     closed: bool
 
     def __post_init__(self):
-        try:
-            order = tuple(map(operator.index, self.order))
-        except TypeError:
-            raise ValueError(f"route indices must be integers, got {self.order!r}") from None
-        if order and min(order) < 0:
-            raise ValueError("route indices must be nonnegative")
+        order = tuple(_require_indices("route indices", self.order).tolist())
         if len(set(order)) != len(order):
             raise ValueError("route indices must be distinct")
         object.__setattr__(self, "order", order)
@@ -643,14 +651,10 @@ def density_from_json(obj: dict | str) -> GridDensity | PopulationGridDensity:
         raise ValueError(f"a density spec must be a JSON object, got {_brief(obj)}")
     square = UNIT_SQUARE
     if obj.get("square") is not None:
-        origin = _spec_key(obj, "square.origin")
-        try:
-            ox, oy = map(float, origin)
-        except (TypeError, ValueError):
-            raise ValueError(f"density spec 'square.origin' must be a pair of reals, got {_brief(origin)}") from None
+        ox, oy = _require_pair("density spec 'square.origin'", _spec_key(obj, "square.origin"))
         side = _spec_key(obj, "square.side")
         _require_finite(**{"density spec 'square.side'": side})
-        square = Square((ox, oy), float(side))
+        square = Square((float(ox), float(oy)), float(side))
     kind = obj.get("kind", "population" if "layers" in obj else "grid")
     if kind == "uniform":
         return GridDensity.uniform(obj.get("m", 1), square)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridDensity, PointSet, PopulationGridDensity, RandomSeed, Square, cell_ids, sample_points
-from .core import _brief, _cell_ids, _group_by_cell, _require_count, _require_finite, _require_int
+from .core import _brief, _cell_ids, _group_by_cell, _require_count, _require_finite, _require_indices, _require_int
 from .errors import InfeasibleError
 from .ktsp import KtspResult, _ktsp_in_region, ktsp_nonuniform_scheme
 
@@ -312,14 +312,14 @@ def geographic_service_map(
 ) -> ServiceMap:
     """Estimate per-cell service probabilities for a k-subset scheme.
 
-    k is an integer of at least 2, n and trials are whole numbers (trials at
-    least 1) and z, the normal quantile of the half widths, is finite and
-    nonnegative; anything else raises ``ValueError``.  So does a trial in
-    which ``scheme`` returns anything but k distinct integer indices in
-    [0, n); the message names the trial.
+    k is an integer of at least 2, n and trials are whole numbers (n at
+    least k, trials at least 1) and z, the normal quantile of the half
+    widths, is finite and nonnegative; anything else raises ``ValueError``.
+    So does a trial in which ``scheme`` returns anything but k distinct
+    integer indices in [0, n); the message names the trial.
     """
     k = _require_int("k", k, 2)
-    n = _require_count("n", n)
+    n = _require_count("n", n, k)
     trials = _require_count("trials", trials, 1)
     _require_finite(z=z)
     if z < 0:
@@ -331,12 +331,14 @@ def geographic_service_map(
         trial_seed = seed.child("service-map", t)
         ps = sample_points(d, n, trial_seed)
         rng = trial_seed.child("scheme").generator()
-        chosen = np.asarray(list(scheme(ps, d, k, rng)))
-        valid = chosen.shape == (k,) and chosen.dtype.kind in "iu" and chosen.min() >= 0 and chosen.max() < n
-        if not valid or len(np.unique(chosen)) != k:
+        picked = scheme(ps, d, k, rng)
+        try:
+            chosen = _require_indices("served indices", picked, n)
+        except ValueError:
+            chosen = None
+        if chosen is None or len(chosen) != k or len(np.unique(chosen)) != k:
             raise ValueError(
-                f"trial {t}: the scheme must serve {k} distinct integer indices in [0, {n}), "
-                f"got {_brief(chosen.tolist())}"
+                f"trial {t}: the scheme must serve {k} distinct integer indices in [0, {n}), got {_brief(picked)}"
             )
         ids = _cell_ids(ps.coords, d.square, d.m)  # ps was sampled from d
         totals += np.bincount(ids, minlength=m2)

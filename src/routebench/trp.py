@@ -21,12 +21,12 @@ from .core import (
     Point,
     PointSet,
     Route,
-    _brief,
     _cell_ids,
     _group_by_cell,
     _require_count,
     _require_finite,
-    _require_int,
+    _require_indices,
+    _require_pair,
     latency_growth_constant,
     total_latency,
 )
@@ -48,9 +48,9 @@ class TrpResult:
     """Open route over all points with its total latency.
 
     ``cell_order`` lists the visited (nonempty) cells in service order and
-    ``per_cell_last_latency`` the waiting distance of the last point served
-    in each of them.  Both are empty for oracle results, which do not go
-    through the cell decomposition.
+    ``per_cell_last_latency`` the wait of each one's last point measured from
+    the first served point, without the depot leg (``depot_offset / n``).
+    Both are empty for oracle results, which skip the cell decomposition.
     """
 
     route: Route
@@ -103,14 +103,7 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
     """
     if d.square != ps.square:
         raise ValueError("density and point set must share the bounding square")
-    start = np.array(d.square.origin, dtype=float)
-    if depot is not None:
-        try:
-            depot_x, depot_y = depot
-        except (TypeError, ValueError):
-            raise ValueError(f"depot must be a pair, got {_brief(depot)}") from None
-        _require_finite(depot_x=depot_x, depot_y=depot_y)
-        start = np.array((depot_x, depot_y), dtype=float)
+    start = np.array(d.square.origin if depot is None else _require_pair("depot", depot), dtype=float)
     n = len(ps)
     if n == 0:
         return TrpResult(Route._of((), closed=False), 0.0)
@@ -181,7 +174,7 @@ def subpath_objective(subpaths: Sequence[WeightedSubpath], perm: Sequence[int]) 
     Position i contributes n_i / sqrt(density_i) times the number of points
     still waiting after it.
     """
-    perm = [_require_int(f"perm[{i}]", p, 0) for i, p in enumerate(perm)]
+    perm = _require_indices("perm", perm, len(subpaths)).tolist()
     if sorted(perm) != list(range(len(subpaths))):
         raise ValueError("perm must be a permutation of the subpath indices")
     counts = [subpaths[p].n_visited for p in perm]

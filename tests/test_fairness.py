@@ -318,6 +318,17 @@ class TestServiceMap:
         with pytest.raises(ValueError):
             geographic_service_map(random_subset_scheme, GridDensity.uniform(2), seed=RandomSeed(65), **args)
 
+    @pytest.mark.parametrize("scheme", [random_subset_scheme, nonuniform_scheme_handle], ids=["random", "nonuniform"])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_fewer_points_than_k_rejected_before_sampling(self, scheme, n, monkeypatch):
+        # used to fail inside the first trial, with numpy's sampling message
+        def no_sampling(*args):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(routebench.fairness, "sample_points", no_sampling)
+        with pytest.raises(ValueError, match="n must be at least 5"):
+            geographic_service_map(scheme, GridDensity.uniform(2), 5, n, 3, RandomSeed(65))
+
     @pytest.mark.parametrize("z", [math.nan, math.inf])
     def test_non_finite_z_rejected(self, z):
         # used to return NaN half widths

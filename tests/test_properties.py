@@ -4,6 +4,8 @@ Hypothesis runs derandomized, so every run draws the same examples.
 """
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,20 +15,26 @@ from hypothesis import strategies as st
 from routebench import (
     FairnessMix,
     GridDensity,
+    Point,
     PointSet,
     PopulationGridDensity,
     RandomSeed,
     Route,
     Square,
     UNIT_SQUARE,
+    WeightedSubpath,
+    density_from_json,
     fair_ktsp_sample,
     fairness_lp,
+    geographic_service_map,
     ktsp_exact,
     ktsp_grid_scheme,
     ktsp_nonuniform_scheme,
     route_length,
     sample_points,
     strip_tour,
+    subpath_objective,
+    total_latency,
     trp_apriori_scheme,
     trp_exact,
     tsp_exact,
@@ -385,3 +393,145 @@ class TestUncheckedConstructors:
         ps = PointSet([[0.1, 0.1], [0.9, 0.9]])
         with pytest.raises(ValueError, match="indices must be integers"):
             ps.subset(indices)
+
+
+# entries of an index selection: indices, and the values the index rule rejects
+index_entries = st.one_of(
+    st.integers(0, 12),
+    st.integers(0, 12).map(np.int64),
+    st.integers(0, 12).map(np.uint8),
+    st.integers(-3, -1),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.floats(0, 12),
+    st.integers(2**63, 2**70),
+    st.text(max_size=2),
+    st.none(),
+)
+
+# a coordinate of a pair: finite reals, and the values the pair rule rejects
+pair_coords = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.integers(-1000, 1000),
+    st.booleans(),
+    st.fractions(-10, 10),
+    st.floats(-1e6, 1e6).map(np.float64),
+    st.integers(-5, 5).map(np.int32),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+    st.decimals(-10, 10, allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.none(),
+)
+
+# None is left out as a whole value: as the depot it means "no depot"
+pair_likes = st.one_of(
+    st.tuples(pair_coords, pair_coords),
+    st.lists(pair_coords, max_size=3),
+    st.lists(st.one_of(st.floats(-1e6, 1e6), st.just(math.nan)), min_size=1, max_size=3).map(np.array),
+    pair_coords.filter(lambda v: v is not None),
+)
+
+
+def is_index(value, n: int) -> bool:
+    """The index rule for one entry: a Python or numpy integer, not a bool, in [0, n)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)) and 0 <= value < n
+
+
+def outcome(call):
+    """What ``call`` returns, or ValueError when it raises one."""
+    try:
+        return call()
+    except ValueError:
+        return ValueError
+
+
+class TestIndexAndPairRules:
+    """Every caller of one input rule accepts and rejects the same values."""
+
+    @PROPERTY
+    @given(st.integers(0, 10), st.data())
+    def test_index_selections_follow_one_rule(self, size, data):
+        # a permutation of range(size), valid for every caller, with up to three entries swapped out
+        values = list(data.draw(st.permutations(range(size))))
+        for at, entry in data.draw(st.lists(st.tuples(st.integers(0, 9), index_entries), max_size=3)):
+            if at < size:
+                values[at] = entry
+        distinct = len({int(v) for v in values if is_index(v, 2**63)}) == len(values)
+        ps = PointSet(np.linspace(0.05, 0.95, 20).reshape(10, 2))
+
+        route = outcome(lambda: Route(values, closed=False))
+        assert (route is not ValueError) == (all(is_index(v, 2**63) for v in values) and distinct)
+        if route is not ValueError:
+            assert route.order == tuple(int(v) for v in values)
+
+        sub = outcome(lambda: ps.subset(values))
+        assert (sub is not ValueError) == all(is_index(v, 10) for v in values)
+        if sub is not ValueError:
+            assert sub.coords.tolist() == [ps.coords[int(v)].tolist() for v in values]
+
+        if len(values) >= 2:  # k = len(values) served of n = 10 points
+            smap = outcome(
+                lambda: geographic_service_map(lambda *_: values, GridDensity.uniform(1), len(values), 10, 1, RandomSeed(3))
+            )
+            assert (smap is not ValueError) == (all(is_index(v, 10) for v in values) and distinct)
+            if smap is not ValueError:
+                assert smap.served.tolist() == [len(values)]
+
+        if values:  # a permutation of the len(values) subpaths
+            paths = [WeightedSubpath(i + 1, 1.0 + i) for i in range(len(values))]
+            cost = outcome(lambda: subpath_objective(paths, values))
+            assert (cost is not ValueError) == (all(is_index(v, len(values)) for v in values) and distinct)
+            if cost is not ValueError:
+                assert cost == subpath_objective(paths, [int(v) for v in values])
+
+    @PROPERTY
+    @given(pair_likes)
+    def test_pairs_follow_one_rule(self, value):
+        d = GridDensity.uniform(1)
+        ps = sample_points(d, 6, RandomSeed(4))
+        square = outcome(lambda: Square(value, 1.0))
+        scheme = outcome(lambda: trp_apriori_scheme(ps, d, depot=value))
+        spec = outcome(lambda: density_from_json({"kind": "uniform", "square": {"origin": value, "side": 1.0}}))
+        assert (square is ValueError) == (scheme is ValueError) == (spec is ValueError)
+        if square is not ValueError:
+            x, y = map(float, value)
+            assert scheme.latency == trp_apriori_scheme(ps, d, depot=Point(x, y)).latency
+            assert spec.square == Square((x, y), 1.0) and square.origin == tuple(value)
+            assert hash(square) == hash(Square(tuple(value), 1.0))
+
+    # the four answers the hand-written checks gave before the two rules
+    def test_route_of_an_index_beyond_64_bits_rejected(self):
+        # used to build, then raise OverflowError in route_length and total_latency
+        with pytest.raises(ValueError, match="route indices"):
+            Route((2**70,), closed=False)
+
+    @pytest.mark.parametrize("indices", [0, np.zeros((2, 1), dtype=np.intp), [[0], [1]]], ids=["scalar", "2-d", "nested"])
+    def test_subset_shape_message_names_indices(self, indices):
+        # used to say "coords must have shape (n, 2)"
+        ps = PointSet([[0.1, 0.1], [0.9, 0.9]])
+        with pytest.raises(ValueError, match=r"^indices must be .* shape \(k,\)"):
+            ps.subset(indices)
+
+    @pytest.mark.parametrize("flags", [(False, True), (np.False_, np.True_)], ids=["python", "numpy"])
+    def test_bools_are_not_indices(self, flags):
+        # Route and subpath_objective used to read Python bools as 0 and 1
+        paths = [WeightedSubpath(1, 1.0), WeightedSubpath(2, 2.0)]
+        with pytest.raises(ValueError, match="route indices must be"):
+            Route(flags, closed=False)
+        with pytest.raises(ValueError, match="perm must be"):
+            subpath_objective(paths, list(flags))
+
+    @pytest.mark.parametrize("origin", [[0.5, 2], np.array([0.5, 2.0])], ids=["list", "array"])
+    def test_square_keeps_its_origin_as_a_tuple(self, origin):
+        # a list origin used to make the square unhashable, an array one made == raise
+        square = Square(origin, 1.0)
+        assert square.origin == (0.5, 2.0) and type(square.origin) is tuple
+        assert square == Square((0.5, 2.0), 1.0) and hash(square) == hash(Square((0.5, 2.0), 1.0))
+
+    @pytest.mark.parametrize("origin", [["0.5", "1e0"], ["0.5", 0.0], [0.0, "0"]])
+    def test_numeric_strings_are_not_origins(self, origin):
+        # density_from_json used to read ["0.5", "1e0"] as (0.5, 1.0), though Square rejects "0.5"
+        with pytest.raises(ValueError, match="'square.origin' [xy] must be finite"):
+            density_from_json({"kind": "uniform", "square": {"origin": origin, "side": 1.0}})
+        with pytest.raises(ValueError, match="square origin [xy] must be finite"):
+            Square(tuple(origin), 1.0)

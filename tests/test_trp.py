@@ -229,7 +229,7 @@ class TestSubpathOrdering:
 
     def test_float_permutation_entries_rejected(self):
         # used to raise TypeError from indexing the subpaths with 0.0
-        with pytest.raises(ValueError, match=r"perm\[0\] must be an integer"):
+        with pytest.raises(ValueError, match="perm must be integers"):
             subpath_objective(self.EXAMPLE[:2], [0.0, 1.0])
 
     def test_whole_float_visits_stored_as_int(self):
