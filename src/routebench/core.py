@@ -95,15 +95,20 @@ def _require_int(name: str, value: int, least: int) -> int:
     return value
 
 
-def _require_finite(**values: float) -> None:
-    """ValueError naming the first keyword argument that is not a finite real."""
-    for name, value in values.items():
-        try:
-            finite = isinstance(value, numbers.Real) and math.isfinite(value)  # not Decimal or str
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise ValueError(f"{name} must be finite, got {_brief(value)}")
+def _require_real(name: str, value: float, sign: str = "") -> float:
+    """``value``; ValueError unless it is a finite ``numbers.Real`` (not a
+    Decimal or a string) that is ``sign``: "positive", "nonnegative" or any ("")."""
+    if sign not in ("", "positive", "nonnegative"):
+        raise ValueError(f"sign must be 'positive', 'nonnegative' or '', got {sign!r}")
+    try:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except (TypeError, OverflowError):  # an int beyond float range overflows
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {_brief(value)}")
+    if sign and (value < 0 or value == 0 and sign == "positive"):
+        raise ValueError(f"{name} must be {sign}, got {_brief(value)}")
+    return value
 
 
 def _require_indices(name: str, values, n: int | None = None) -> np.ndarray:
@@ -127,8 +132,7 @@ def _require_pair(name: str, value) -> tuple[float, float]:
         x, y = value
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a pair, got {_brief(value)}") from None
-    _require_finite(**{f"{name} x": x, f"{name} y": y})
-    return x, y
+    return _require_real(f"{name} x", x), _require_real(f"{name} y", y)
 
 
 class Point(NamedTuple):
@@ -145,9 +149,7 @@ class Square:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", _require_pair("square origin", self.origin))  # a tuple, so hashable
-        _require_finite(**{"square side": self.side})
-        if self.side <= 0:
-            raise ValueError("square side must be positive")
+        _require_real("square side", self.side, "positive")
 
     @property
     def area(self) -> float:
@@ -652,8 +654,7 @@ def density_from_json(obj: dict | str) -> GridDensity | PopulationGridDensity:
     square = UNIT_SQUARE
     if obj.get("square") is not None:
         ox, oy = _require_pair("density spec 'square.origin'", _spec_key(obj, "square.origin"))
-        side = _spec_key(obj, "square.side")
-        _require_finite(**{"density spec 'square.side'": side})
+        side = _require_real("density spec 'square.side'", _spec_key(obj, "square.side"), "positive")
         square = Square((float(ox), float(oy)), float(side))
     kind = obj.get("kind", "population" if "layers" in obj else "grid")
     if kind == "uniform":

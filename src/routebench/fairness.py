@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridDensity, PointSet, PopulationGridDensity, RandomSeed, Square, cell_ids, sample_points
-from .core import _brief, _cell_ids, _group_by_cell, _require_count, _require_finite, _require_indices, _require_int
+from .core import _brief, _cell_ids, _group_by_cell, _require_count, _require_indices, _require_int, _require_real
 from .errors import InfeasibleError
 from .ktsp import KtspResult, _ktsp_in_region, ktsp_nonuniform_scheme
 
@@ -106,6 +106,23 @@ def _bland(T: np.ndarray, basis: np.ndarray, columns: int) -> None:
         basis[row] = col
 
 
+def _require_targets(name: str, p, epsilon: float, populations: int) -> tuple[np.ndarray, float]:
+    """The target proportions ``p`` as a float array, and ``epsilon``; ValueError unless
+    ``p`` holds one entry per population, ``epsilon`` and each entry (named ``name[i]``)
+    are finite nonnegative reals, and the entries sum to 1."""
+    epsilon = _require_real("epsilon", epsilon, "nonnegative")
+    try:
+        entries = list(p)
+    except TypeError:  # not a sequence
+        entries = None
+    if entries is None or len(entries) != populations:
+        raise ValueError(f"{name} must hold {populations} target proportions, one per population, got {_brief(p)}")
+    targets = np.array([_require_real(f"{name}[{i}]", t, "nonnegative") for i, t in enumerate(entries)], dtype=np.float64)
+    if abs(targets.sum() - 1.0) > 1e-9:
+        raise ValueError(f"{name} must sum to 1, got {_brief(p)}")
+    return targets, epsilon
+
+
 def fairness_lp(
     pop: PopulationGridDensity,
     k: int,
@@ -125,15 +142,8 @@ def fairness_lp(
     the Phase I point (the lowest index on ties).
     """
     k = _require_int("k", k, 2)
-    _require_finite(epsilon=epsilon)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    targets = np.asarray(p, dtype=np.float64)
+    targets, epsilon = _require_targets("p", p, epsilon, pop.populations)
     P = pop.populations
-    if targets.shape != (P,):
-        raise ValueError(f"expected {P} target proportions")
-    if not np.all(np.isfinite(targets)) or np.any(targets < 0) or abs(targets.sum() - 1.0) > 1e-9:
-        raise ValueError("target proportions must be finite, nonnegative and sum to 1")
 
     f = pop.total.cells
     supported = np.flatnonzero(f > 0)
@@ -321,9 +331,7 @@ def geographic_service_map(
     k = _require_int("k", k, 2)
     n = _require_count("n", n, k)
     trials = _require_count("trials", trials, 1)
-    _require_finite(z=z)
-    if z < 0:
-        raise ValueError(f"z must be nonnegative, got {z}")
+    z = _require_real("z", z, "nonnegative")
     m2 = d.m * d.m
     served = np.zeros(m2, dtype=np.int64)
     totals = np.zeros(m2, dtype=np.int64)

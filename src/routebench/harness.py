@@ -18,6 +18,7 @@ wrong type raises ``ValueError`` there, not inside a worker.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -34,13 +35,13 @@ from .core import (
     GridDensity,
     PopulationGridDensity,
     RandomSeed,
+    _brief,
     _require_count,
-    _require_finite,
     density_from_json,
     sample_points,
     stable_stream,
 )
-from .fairness import FairnessMix, fair_ktsp_sample, fairness_lp
+from .fairness import FairnessMix, _require_targets, fair_ktsp_sample, fairness_lp
 from .ktsp import _exact_budget, ktsp_exact, ktsp_grid_scheme, ktsp_rate, ktsp_tail_bound
 from .trp import trp_apriori_scheme, trp_factor_check
 from .tsp import strip_tour
@@ -97,8 +98,11 @@ def fit_loglog_slope(samples: Sequence[tuple[float, float]]) -> RateFit:
 # ---------------------------------------------------------------------------
 # Configuration
 
-_COUNTS = ("trials", "master_seed", "workers", "alpha_points")
-_COUNT_TUPLES = ("n_grid", "k_grid")
+# each count of a config with its floor
+_COUNTS = {"trials": 1, "master_seed": 0, "workers": 1, "alpha_points": 1}
+_COUNT_TUPLES = {"n_grid": 1, "k_grid": 2}
+# the fields that only some kinds read: those their _Kind.defaults name
+_KIND_FIELDS = ("k_grid", "alpha_points", "targets", "epsilon")
 
 
 @dataclass(frozen=True)
@@ -107,12 +111,14 @@ class ExperimentConfig:
 
     Counts are coerced to int and ``epsilon`` and ``targets`` to float, so a
     config built in code hashes like the same config read back from its
-    JSON.  A count that is not a whole number (``trials=2.5``) raises
-    ``ValueError``; it is not truncated.  So does a negative count, a
-    ``master_seed`` that does not fit in 64 bits, or an ``epsilon`` or
-    target that is not a finite real (NaN, infinite, or an int beyond float
-    range), or a ``density`` spec that does not parse or that the kind does
+    JSON.  A count that is not a whole number (``trials=2.5``) or is below
+    its floor raises ``ValueError``; it is not truncated.  So does a
+    ``master_seed`` that does not fit in 64 bits, a kind field (``k_grid``,
+    ``alpha_points``, ``targets``, ``epsilon``) set on a kind that does not
+    read it, or a ``density`` spec that does not parse or that the kind does
     not sample (a population spec for ``fairness-audit``, a grid one else).
+    ``fairness-audit`` checks ``targets`` and ``epsilon`` as ``fairness_lp``
+    does.
     """
 
     experiment: str
@@ -130,35 +136,33 @@ class ExperimentConfig:
 
     def __post_init__(self):
         kind = _kind(self.experiment)
-        for name in _COUNTS:
-            object.__setattr__(self, name, _require_count(name, getattr(self, name)))
-        for name in _COUNT_TUPLES:
-            object.__setattr__(self, name, tuple(_require_count(name, v) for v in getattr(self, name)))
+        for name, least in _COUNTS.items():
+            object.__setattr__(self, name, _require_count(name, getattr(self, name), least))
+        for name, least in _COUNT_TUPLES.items():
+            object.__setattr__(self, name, tuple(_require_count(name, v, least) for v in getattr(self, name)))
         RandomSeed(self.master_seed)  # a seed out of range fails here, not inside the first trial
-        targets = tuple(self.targets)
-        _require_finite(epsilon=self.epsilon, **{f"targets[{i}]": t for i, t in enumerate(targets)})
-        object.__setattr__(self, "targets", tuple(map(float, targets)))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        with contextlib.suppress(TypeError):  # not a sequence: the kind's check names it
+            object.__setattr__(self, "targets", tuple(self.targets))
+        for f in fields(self):
+            if f.name in _KIND_FIELDS and f.name not in kind.defaults and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.experiment} takes no {f.name}, got {_brief(getattr(self, f.name))}")
         unknown = sorted(set(self.thresholds) - set(kind.thresholds))
         if unknown:
             raise ValueError(f"unknown {self.experiment} thresholds {unknown}; known: {sorted(kind.thresholds)}")
         object.__setattr__(self, "thresholds", {**kind.thresholds, **self.thresholds})
-        if not self.n_grid or self.trials < 1:
-            raise ValueError("n_grid must be nonempty and trials >= 1")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self.n_grid:
+            raise ValueError("n_grid must be nonempty")
         density = density_from_json(self.density)
         if not isinstance(density, kind.density):
             raise ValueError(f"{self.experiment} needs a {kind.density.__name__} spec, got a {type(density).__name__}")
-        if "k_grid" not in kind.defaults:
-            if self.k_grid:
-                raise ValueError(f"{self.experiment} takes no k grid")
-        elif not self.k_grid:
+        if "k_grid" in kind.defaults and not self.k_grid:
             raise ValueError(f"{self.experiment} needs a k grid")
-        elif not all(2 <= k <= min(self.n_grid) for k in self.k_grid):
-            raise ValueError(f"every k must lie in [2, min(n_grid) = {min(self.n_grid)}], got {self.k_grid}")
+        if self.k_grid and max(self.k_grid) > min(self.n_grid):
+            raise ValueError(f"every k must be at most min(n_grid) = {min(self.n_grid)}, got {self.k_grid}")
         if kind.validate is not None:
-            kind.validate(self)
+            kind.validate(self, density)
+        object.__setattr__(self, "targets", tuple(map(float, self.targets)))  # checked: finite reals
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
     def canonical(self) -> dict:
         """Every field but ``out_dir`` as JSON values, tuples as lists."""
@@ -257,11 +261,9 @@ def _tail_trial(density, n, k, seed, _context):
     return [("", ktsp_exact(sample_points(density, n, seed), k).length)]
 
 
-def _tail_validate(cfg):
+def _tail_validate(cfg, _density):
     for k in cfg.k_grid:  # its trials run ktsp_exact
         _exact_budget(max(cfg.n_grid), k)
-    if cfg.alpha_points < 1:
-        raise ValueError("alpha_points must be >= 1")
 
 
 def _tail_alpha_grid(k: int, n: int, area: float, points: int) -> np.ndarray:
@@ -290,13 +292,16 @@ def _tail_checks(cfg, density, stats, _context, summary):
             summary["checks"].append(_check(f"dominance-k{k}-n{n}", violations == 0, detail))
 
 
-def _fairness_validate(cfg):
+def _fairness_validate(cfg, pop):
     if len(cfg.k_grid) != 1:
         raise ValueError(f"fairness-audit solves its mix for one k, got k_grid {cfg.k_grid}")
+    _require_targets("targets", _fairness_targets(cfg, pop), cfg.epsilon, pop.populations)
 
 
 def _fairness_targets(cfg, pop) -> tuple[float, ...]:
-    return cfg.targets or tuple(pop.population_shares())
+    if isinstance(cfg.targets, tuple) and not cfg.targets:  # the default: population shares
+        return tuple(pop.population_shares())
+    return cfg.targets  # anything else, a falsy scalar too, is checked as given
 
 
 def _fairness_prepare(cfg, density) -> FairnessMix:
@@ -328,9 +333,9 @@ class _Kind:
     trial: Callable  # (density, n, k, seed, context) -> [(label suffix, value), ...]
     checks: Callable  # (cfg, density, stats, context, summary): appends fits and checks
     thresholds: dict  # default thresholds, also the only keys a config may set
-    defaults: dict  # ExperimentConfig fields of default_config; a kind takes a k grid if they set one
+    defaults: dict  # ExperimentConfig fields of default_config; a kind reads the _KIND_FIELDS they set
     density: type = GridDensity  # the density type its trials sample
-    validate: Callable | None = None  # (cfg): ValueError for a config the kind cannot run
+    validate: Callable | None = None  # (cfg, density): ValueError for a config the kind cannot run
     prepare: Callable | None = None  # (cfg, density) -> context, once per run, passed to each trial
 
 
@@ -347,7 +352,7 @@ _KINDS: dict[str, _Kind] = {
     ),
     "tail-dominance": _Kind(
         _tail_trial, _tail_checks, {"se_multiplier": 3.0},
-        dict(density={"kind": "uniform", "m": 1}, n_grid=(50,), trials=10_000, k_grid=(2, 3)),
+        dict(density={"kind": "uniform", "m": 1}, n_grid=(50,), trials=10_000, k_grid=(2, 3), alpha_points=20),
         validate=_tail_validate,
     ),
     "fairness-audit": _Kind(
@@ -359,7 +364,7 @@ _KINDS: dict[str, _Kind] = {
                 "layers": [[2.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]],
                 "square": {"origin": [0.0, 0.0], "side": 1.0},
             },
-            n_grid=(400,), trials=10_000, k_grid=(4,), targets=(0.5, 0.5),
+            n_grid=(400,), trials=10_000, k_grid=(4,), targets=(0.5, 0.5), epsilon=0.0,
         ),
         density=PopulationGridDensity, validate=_fairness_validate, prepare=_fairness_prepare,
     ),

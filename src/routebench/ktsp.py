@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridDensity, PointSet, Route, Square, _cell_ids, _path_length, route_length
-from .core import _require_count, _require_finite, _require_int
+from .core import _require_count, _require_int, _require_real
 from .tsp import _distance_matrix, _held_karp, _knn, _path_to, _require_budget, strip_two_opt
 
 __all__ = [
@@ -192,9 +192,7 @@ def ktsp_rate(k: int, n: int, area: float) -> float:
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", n, k)
-    _require_finite(area=area)
-    if area <= 0:
-        raise ValueError(f"area must be positive, got {area}")
+    area = _require_real("area", area, "positive")
     exponent = 0.5 * (1.0 + 1.0 / (k - 1))
     return (k - 1) / n**exponent * math.sqrt(area)
 
@@ -208,9 +206,7 @@ def ktsp_tail_bound(k: int, n: int, area: float, threshold: float) -> float:
     """
     k = _require_int("k", k, 2)
     n = _require_count("n", n, k)
-    _require_finite(area=area, threshold=threshold)
-    if area <= 0 or threshold < 0:
-        raise ValueError(f"area must be positive and threshold nonnegative, got {area} and {threshold}")
+    area, threshold = _require_real("area", area, "positive"), _require_real("threshold", threshold, "nonnegative")
     if threshold == 0:
         return 0.0
     log_bound = (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import _require_count, _require_finite
+from .core import _brief, _require_count, _require_real
 
 __all__ = ["DispatchPlan", "FleetSize", "fleet_size_trp", "sdd_dispatch_tsp", "sdd_dispatch_trp"]
 
@@ -23,26 +23,21 @@ class DispatchPlan:
     """Vehicle release schedule: nondecreasing times with per-vehicle loads.
 
     ``slack`` is the margin of the binding feasibility condition (negative
-    when infeasible).  ``failing_index`` marks the first dispatch step with
-    no valid solution, when the recursion breaks down mid-sequence.
+    when infeasible).
     """
 
     dispatch_times: tuple[float, ...]
     loads: tuple[float, ...]
     feasible: bool
     slack: float
-    failing_index: int | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "dispatch_times": list(self.dispatch_times),
             "loads": list(self.loads),
             "feasible": self.feasible,
             "slack": self.slack,
         }
-        if self.failing_index is not None:
-            out["failing_index"] = self.failing_index
-        return out
 
 
 @dataclass(frozen=True)
@@ -66,12 +61,8 @@ def fleet_size_trp(c: float, w: float, N: int, b: float = 0.0) -> FleetSize:
     integer optimum is the better of its floor and ceiling; with a batching
     term b > 0 there is no closed form and the integers are scanned.
     """
-    _require_finite(c=c, w=w, N=N, b=b)
-    N = _require_count("N", N, 1)
-    if c <= 0 or w <= 0:
-        raise ValueError("cost coefficients must be positive")
-    if b < 0:
-        raise ValueError("batching coefficient must be nonnegative")
+    c, w = _require_real("c", c, "positive"), _require_real("w", w, "positive")
+    N, b = _require_count("N", _require_real("N", N), 1), _require_real("b", b, "nonnegative")
     if b > 0:
         best = min(range(1, N + 1), key=lambda m: (_trp_cost(m, c, w, N, b), m))
         return FleetSize(None, best, _trp_cost(best, c, w, N, b))
@@ -96,38 +87,30 @@ def sdd_dispatch_tsp(
     sqrt of the gap, keeping its nonnegative root) with t_0 = 0.  The plan
     is feasible when the last dispatch reaches the order cutoff.  Loads are
     the orders accumulated per gap, truncated at the cutoff so a feasible
-    plan carries exactly the lam * T_cutoff available orders.
+    plan carries exactly the lam * T_cutoff available orders.  No dispatch
+    time exceeds T.
     """
-    if T_cutoff is None:
-        T_cutoff = T
-    _require_finite(lam=lam, a=a, T=T, m=m, T_cutoff=T_cutoff)
-    m = _require_count("m", m, 1)
-    if lam <= 0 or a < 0 or T <= 0:
-        raise ValueError("parameters must be positive (a may be zero)")
+    lam, a = _require_real("lam", lam, "positive"), _require_real("a", a, "nonnegative")
+    T, m = _require_real("T", T, "positive"), _require_count("m", _require_real("m", m), 1)
+    T_cutoff = T if T_cutoff is None else _require_real("T_cutoff", T_cutoff, "nonnegative")
     if T_cutoff > T:
-        raise ValueError("the order cutoff cannot exceed the deadline")
-    if T_cutoff < 0:
-        raise ValueError(f"T_cutoff must be nonnegative, got {T_cutoff!r}")
+        raise ValueError(f"T_cutoff cannot exceed the deadline T, got {_brief(T_cutoff)} > {_brief(T)}")
 
     times: list[float] = []
     loads: list[float] = []
     prev = 0.0
-    failing = None
-    for i in range(1, m + 1):
+    h = 0.5 * a * math.sqrt(lam)
+    for _ in range(m):
+        # u >= 0 solves u**2 + 2*h*u = rem, so prev + u**2 <= T exactly.  The root
+        # rem / (h + sqrt(h**2 + rem)) neither cancels nor overflows (an h that
+        # overflows gives u = 0); the min takes back an ulp of rounding past T
         rem = T - prev
-        if rem < -_FEAS_TOL:
-            failing = i
-            break
-        rem = max(rem, 0.0)
-        disc = a * a * lam + 4.0 * rem
-        u = 0.5 * (-a * math.sqrt(lam) + math.sqrt(disc))
-        t_i = prev + u * u
+        u = rem / (h + math.hypot(h, math.sqrt(rem))) if rem else 0.0
+        t_i = min(prev + u * u, T)
         times.append(t_i)
         loads.append(lam * (min(t_i, T_cutoff) - min(prev, T_cutoff)))
         prev = t_i
 
-    if failing is not None:
-        return DispatchPlan(tuple(times), tuple(loads), False, -math.inf, failing_index=failing)
     slack = times[-1] - T_cutoff
     return DispatchPlan(tuple(times), tuple(loads), slack >= -_FEAS_TOL, slack)
 
@@ -138,10 +121,9 @@ def sdd_dispatch_trp(lam: float, a: float, N: float, m: int, T: float) -> Dispat
     Feasible when the last vehicle can finish by the deadline, that is when
     N/lam + a*sqrt(N/m) <= T; the slack of that inequality is reported.
     """
-    _require_finite(lam=lam, a=a, N=N, m=m, T=T)
-    m = _require_count("m", m, 1)
-    if lam <= 0 or a < 0 or N <= 0 or T <= 0:
-        raise ValueError("parameters must be positive (a may be zero)")
+    lam, a = _require_real("lam", lam, "positive"), _require_real("a", a, "nonnegative")
+    N, m = _require_real("N", N, "positive"), _require_count("m", _require_real("m", m), 1)
+    T = _require_real("T", T, "positive")
     times = tuple(i * N / (m * lam) for i in range(1, m + 1))
     loads = tuple(N / m for _ in range(m))
     slack = T - (N / lam + a * math.sqrt(N / m))

@@ -24,9 +24,9 @@ from .core import (
     _cell_ids,
     _group_by_cell,
     _require_count,
-    _require_finite,
     _require_indices,
     _require_pair,
+    _require_real,
     latency_growth_constant,
     total_latency,
 )
@@ -81,9 +81,7 @@ class WeightedSubpath:
 
     def __post_init__(self):
         object.__setattr__(self, "n_visited", _require_count("n_visited", self.n_visited, 1))
-        _require_finite(density=self.density)
-        if self.density <= 0:
-            raise ValueError(f"subpath density must be positive, got {self.density}")
+        _require_real("density", self.density, "positive")
 
 
 def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None) -> TrpResult:
@@ -141,6 +139,8 @@ def trp_apriori_scheme(ps: PointSet, d: GridDensity, depot: Point | None = None)
     if depot is not None:
         depot_offset = n * float(np.hypot(pts[0, 0] - start[0], pts[0, 1] - start[1]))
     latency = float(np.arange(n - 1, 0, -1.0) @ steps) + depot_offset  # total_latency of the route
+    if not math.isfinite(latency):  # the depot, or the points, so far out that a distance overflows
+        raise ValueError(f"latency overflows to {latency}: the depot or the points lie too far apart")
     per_cell = tuple(prefix[last_positions].tolist())
     return TrpResult(route, latency, tuple(visited_cells), per_cell, depot_offset)
 
@@ -172,8 +172,10 @@ def subpath_objective(subpaths: Sequence[WeightedSubpath], perm: Sequence[int]) 
     """Weighted tail count objective for a given service permutation.
 
     Position i contributes n_i / sqrt(density_i) times the number of points
-    still waiting after it.
+    still waiting after it.  The subpath list must be nonempty.
     """
+    if not subpaths:
+        raise ValueError("subpath list must be nonempty")
     perm = _require_indices("perm", perm, len(subpaths)).tolist()
     if sorted(perm) != list(range(len(subpaths))):
         raise ValueError("perm must be a permutation of the subpath indices")

@@ -431,6 +431,11 @@ class TestCli:
         result = json.loads(out.read_text())
         assert result["n"] == 30 and len(result["order"]) == 30
 
+    def test_dispatch_names_a_bad_argument(self, capsys):
+        # used to say "parameters must be positive (a may be zero)"
+        assert main(["dispatch", "--mode", "trp", "--N", "0"]) == 1
+        assert "N must be positive" in capsys.readouterr().err
+
     def test_tsp_reports_moves(self, tmp_path):
         # the 2-opt polish reports its moves and cap; the strip tour and the
         # exact oracle report 0 and false

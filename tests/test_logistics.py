@@ -113,6 +113,32 @@ class TestDispatchTsp:
         with pytest.raises(ValueError, match="T_cutoff"):
             sdd_dispatch_tsp(1.0, 0.5, 2.0, 2, T_cutoff=-1.0)
 
+    @pytest.mark.parametrize(
+        "lam, a, T, m",
+        [
+            (6.060407275987406e-06, 1.3575576679526652e-06, 9789790753571400.0, 148),
+            (1.2354912062295437e-05, 1.1502514399329358e-06, 1918048075518580.2, 114),
+        ],
+    )
+    def test_large_deadline_plan_is_feasible(self, lam, a, T, m):
+        # the first dispatch time rounded one ulp past T, and the plan came
+        # back infeasible after one vehicle with slack -inf
+        plan = sdd_dispatch_tsp(lam, a, T, m)
+        assert plan.feasible and len(plan.dispatch_times) == m
+        assert all(t <= T for t in plan.dispatch_times)
+
+    def test_overflowing_discriminant_stays_infeasible(self):
+        # a*a*lam overflows; in exact arithmetic t_1 = (T/a)**2, about 3.6e-309
+        plan = sdd_dispatch_tsp(1.0, 1e155, 6.0, 3)
+        assert not plan.feasible and plan.slack == pytest.approx(-6.0)
+        assert all(0 < t < 1e-307 for t in plan.dispatch_times)
+
+    def test_small_gap_root_does_not_cancel(self):
+        # u**2 + 1e8*u = 1 has u = 1e-8 to 16 digits; -1e8 + sqrt(1e16 + 4)
+        # cancelled to half of that
+        plan = sdd_dispatch_tsp(1.0, 1e8, 1.0, 2)
+        assert plan.dispatch_times == pytest.approx((1e-16, 2e-16), rel=1e-12)
+
 
 class TestDispatchTrp:
     def test_boundary_example(self):

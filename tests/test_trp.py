@@ -143,6 +143,12 @@ class TestAprioriScheme:
         with pytest.raises(ValueError):
             trp_apriori_scheme(ps, d)
 
+    def test_overflowing_latency_rejected(self):
+        # a depot this far out used to give latency inf with no warning
+        d = GridDensity.uniform(1)
+        with pytest.raises(ValueError, match="latency overflows"):
+            trp_apriori_scheme(sample_points(d, 5, RandomSeed(1)), d, depot=(1e308, 1e308))
+
 
 class TestExactOracle:
     def test_three_collinear(self):
@@ -226,6 +232,11 @@ class TestSubpathOrdering:
         # infinite density an objective of 0
         with pytest.raises(ValueError, match="n_visited|density"):
             WeightedSubpath(n_visited, density)
+
+    def test_empty_subpath_list_rejected(self):
+        # used to raise numpy's matmul shape message
+        with pytest.raises(ValueError, match="subpath list must be nonempty"):
+            subpath_objective([], [])
 
     def test_float_permutation_entries_rejected(self):
         # used to raise TypeError from indexing the subpaths with 0.0
