@@ -28,7 +28,7 @@ import numpy as np
 from .core import GridDensity, PointSet, PopulationGridDensity, RandomSeed, Square, cell_ids, sample_points
 from .core import _brief, _cell_ids, _group_by_cell, _require_count, _require_indices, _require_int, _require_real
 from .errors import InfeasibleError
-from .ktsp import KtspResult, _ktsp_in_region, ktsp_nonuniform_scheme
+from .ktsp import KtspResult, _ktsp_in_region
 
 __all__ = [
     "FairnessMix",
@@ -38,8 +38,6 @@ __all__ = [
     "fair_ktsp_sample",
     "geographic_service_map",
     "deterministic_fairness_ratio",
-    "random_subset_scheme",
-    "nonuniform_scheme_handle",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -281,20 +279,6 @@ def fair_ktsp_sample(
     return FairKtspResult(**vars(result), served_counts=tuple(counts.tolist()), augmented_cells=tuple(augmented))
 
 
-# --- k-subset scheme handles for the service-probability map ---------------
-
-SchemeHandle = Callable[[PointSet, GridDensity, int, np.random.Generator], Sequence[int]]
-
-
-def random_subset_scheme(ps: PointSet, d: GridDensity, k: int, rng: np.random.Generator):
-    """Baseline: serve a uniformly random k-subset (fully exchangeable)."""
-    return rng.choice(len(ps), size=k, replace=False)
-
-
-def nonuniform_scheme_handle(ps: PointSet, d: GridDensity, k: int, rng: np.random.Generator):
-    return ktsp_nonuniform_scheme(ps, d, k).route.order
-
-
 @dataclass(frozen=True, eq=False)
 class ServiceMap:
     """Monte Carlo estimates of P(served | cell), normalized by k/n.
@@ -311,8 +295,32 @@ class ServiceMap:
     min_normalized: float
 
 
+def _cell_map(stat: Callable, d: GridDensity, n: int, trials: int, seed: RandomSeed) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell point counts and sums of ``stat(points, rng)``, one finite value per point.
+
+    Trial t samples n points from d with ``seed.child("service-map", t)``; rng is that
+    seed's ``"scheme"`` child.  A bad statistic raises ``ValueError`` prefixed ``trial t: ``.
+    """
+    m2 = d.m * d.m
+    counts = np.zeros(m2, dtype=np.int64)
+    sums = np.zeros(m2)
+    for t in range(trials):
+        trial_seed = seed.child("service-map", t)
+        ps = sample_points(d, n, trial_seed)
+        try:
+            values = stat(ps, trial_seed.child("scheme").generator())
+            if np.shape(values) != (n,) or not np.all(np.isfinite(values)):
+                raise ValueError(f"the statistic must give {n} finite values, got {_brief(values)}")
+        except ValueError as exc:
+            raise ValueError(f"trial {t}: {exc}") from None
+        ids = _cell_ids(ps.coords, d.square, d.m)  # ps was sampled from d
+        counts += np.bincount(ids, minlength=m2)
+        sums += np.bincount(ids, weights=values, minlength=m2)
+    return counts, sums
+
+
 def geographic_service_map(
-    scheme: SchemeHandle,
+    scheme: Callable[[PointSet, GridDensity, int, np.random.Generator], Sequence[int]],
     d: GridDensity,
     k: int,
     n: int,
@@ -332,37 +340,28 @@ def geographic_service_map(
     n = _require_count("n", n, k)
     trials = _require_count("trials", trials, 1)
     z = _require_real("z", z, "nonnegative")
-    m2 = d.m * d.m
-    served = np.zeros(m2, dtype=np.int64)
-    totals = np.zeros(m2, dtype=np.int64)
-    for t in range(trials):
-        trial_seed = seed.child("service-map", t)
-        ps = sample_points(d, n, trial_seed)
-        rng = trial_seed.child("scheme").generator()
+
+    def served_indicator(ps: PointSet, rng) -> np.ndarray:
         picked = scheme(ps, d, k, rng)
         try:
             chosen = _require_indices("served indices", picked, n)
         except ValueError:
-            chosen = None
-        if chosen is None or len(chosen) != k or len(np.unique(chosen)) != k:
-            raise ValueError(
-                f"trial {t}: the scheme must serve {k} distinct integer indices in [0, {n}), got {_brief(picked)}"
-            )
-        ids = _cell_ids(ps.coords, d.square, d.m)  # ps was sampled from d
-        totals += np.bincount(ids, minlength=m2)
-        served += np.bincount(ids[chosen], minlength=m2)
+            chosen = np.zeros(0, dtype=np.intp)  # fails the length check, as k >= 2
+        indicator = np.bincount(chosen, minlength=n)
+        if len(chosen) != k or np.count_nonzero(indicator) != k:  # k distinct indices
+            raise ValueError(f"the scheme must serve {k} distinct integer indices in [0, {n}), got {_brief(picked)}")
+        return indicator
 
+    totals, sums = _cell_map(served_indicator, d, n, trials, seed)
+    served = sums.astype(np.int64)  # sums of 0/1 values, so exact
     scale = k / n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_hat = np.where(totals > 0, served / np.maximum(totals, 1), np.nan)
-        estimates = p_hat / scale
-        half_widths = z * np.sqrt(p_hat * (1 - p_hat) / np.maximum(totals, 1)) / scale
-    half_widths = np.where(totals > 0, half_widths, np.nan)
-    sampled = totals > 0
-    min_norm = float(np.min(estimates[sampled])) if np.any(sampled) else math.nan
+    # every trial samples n >= 2 points, so some cell is sampled; an unsampled one reads NaN throughout
+    p_hat = np.where(totals > 0, served / np.maximum(totals, 1), np.nan)
+    estimates = p_hat / scale
+    half_widths = z * np.sqrt(p_hat * (1 - p_hat) / np.maximum(totals, 1)) / scale
     for arr in (estimates, half_widths, served, totals):
         arr.setflags(write=False)
-    return ServiceMap(estimates, half_widths, served, totals, min_norm)
+    return ServiceMap(estimates, half_widths, served, totals, float(np.min(estimates[totals > 0])))
 
 
 def deterministic_fairness_ratio(pop: PopulationGridDensity) -> float:

@@ -26,7 +26,6 @@ from routebench import (
     geographic_service_map,
     ktsp_rate,
     ktsp_tail_bound,
-    random_subset_scheme,
     sdd_dispatch_trp,
     sdd_dispatch_tsp,
 )
@@ -34,6 +33,12 @@ from routebench.core import _require_real
 
 SEGREGATED = PopulationGridDensity(2, [[2.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
 FAIR = default_config("fairness-audit")
+
+
+def random_subset_scheme(ps, d, k, rng):
+    """Baseline: serve a uniformly random k-subset (fully exchangeable)."""
+    return rng.choice(len(ps), size=k, replace=False)
+
 
 # (entry point, argument as the message names it, bound, call with the argument set to v)
 REALS = [

@@ -24,13 +24,22 @@ from routebench import (
     fairness_lp,
     geographic_service_map,
     ktsp_grid_scheme,
-    nonuniform_scheme_handle,
-    random_subset_scheme,
+    ktsp_nonuniform_scheme,
     sample_points,
 )
 from routebench.core import cell_ids
+from routebench.fairness import _cell_map
 
 SEGREGATED = PopulationGridDensity(2, np.array([[2.0, 0, 0, 0], [0, 2.0, 0, 0]]))
+
+
+def random_subset_scheme(ps, d, k, rng):
+    """Baseline: serve a uniformly random k-subset (fully exchangeable)."""
+    return rng.choice(len(ps), size=k, replace=False)
+
+
+def nonuniform_scheme_handle(ps, d, k, rng):
+    return ktsp_nonuniform_scheme(ps, d, k).route.order
 
 
 def random_feasible_instance(rng):
@@ -356,6 +365,67 @@ class TestServiceMap:
         smap = geographic_service_map(random_subset_scheme, d, k, n, 200, RandomSeed(64))
         weighted = float(np.nansum(smap.estimates * (smap.totals / smap.totals.sum())))
         assert weighted == pytest.approx(1.0, abs=1e-9)  # estimates are already k/n-normalized
+
+    # the three maps above: sha256 over the bytes of estimates, half_widths,
+    # served and totals, then float.hex(min_normalized); recorded when the
+    # served indicator had its own trial loop, a bit-for-bit regression guard
+    SERVICE_MAP_GOLDEN = {
+        61: ("3c7264026046eaf1810e0fdb1e664d13fa38f61c3c1920ccabab336c0743fef1", "0x1.f29a99266764ap-1"),
+        62: ("820195b2dc6783aa640155b5e7bb60791329af8a95b831520123cc576e5c4c98", "0x0.0p+0"),
+        63: ("6332832476d2ae3aa293c39452f8107b9d51519cdae6b2d0564e72a1d4abef97", "0x0.0p+0"),
+    }
+
+    @pytest.mark.parametrize(
+        "seed, scheme, d, k, n, trials",
+        [
+            (61, random_subset_scheme, GridDensity.uniform(2), 5, 100, 400),
+            (62, nonuniform_scheme_handle, GridDensity(2, [2.0, 2.0, 0.0, 0.0]), 4, 100, 100),
+            (63, nonuniform_scheme_handle, GridDensity(2, [3.4, 0.2, 0.2, 0.2]), 20, 1000, 600),
+        ],
+    )
+    def test_matches_recorded(self, seed, scheme, d, k, n, trials):
+        smap = geographic_service_map(scheme, d, k, n, trials, RandomSeed(seed))
+        fields = (smap.estimates, smap.half_widths, smap.served, smap.totals)
+        digest = hashlib.sha256(b"".join(arr.tobytes() for arr in fields)).hexdigest()
+        assert (digest, float.hex(smap.min_normalized)) == self.SERVICE_MAP_GOLDEN[seed]
+
+
+class TestCellMap:
+    """The per-cell loop under the service map, fed the x coordinate in place of the served indicator."""
+
+    def test_x_coordinate_cell_means(self):
+        d, n, trials, seed = GridDensity.uniform(2), 30, 4, RandomSeed(67)
+        seen = []
+
+        def x_of(ps, rng):
+            seen.append(ps.coords.copy())
+            return ps.coords[:, 0]
+
+        counts, sums = _cell_map(x_of, d, n, trials, seed)
+        assert counts.sum() == n * trials
+        assert len(seen) == trials
+        for t, coords in enumerate(seen):
+            assert np.array_equal(coords, sample_points(d, n, seed.child("service-map", t)).coords)
+        sampled = np.flatnonzero(counts)
+        assert len(sampled) == 4
+        for cell in sampled:  # row-major ids: cell % 2 is the column, x in [col / 2, (col + 1) / 2]
+            col = cell % 2
+            assert col / 2 <= sums[cell] / counts[cell] <= (col + 1) / 2
+
+    @pytest.mark.parametrize(
+        "stat", [lambda ps, rng: ps.coords[1:, 0], lambda ps, rng: np.r_[math.nan, ps.coords[1:, 0]]],
+        ids=["short", "nan"],
+    )
+    def test_bad_statistic_names_the_trial(self, stat):
+        with pytest.raises(ValueError, match=r"^trial 0: the statistic must give 30 finite values"):
+            _cell_map(stat, GridDensity.uniform(2), 30, 2, RandomSeed(68))
+
+    def test_statistic_error_names_the_trial(self):
+        def refuse(ps, rng):
+            raise ValueError("no statistic here")
+
+        with pytest.raises(ValueError, match=r"^trial 0: no statistic here$"):
+            _cell_map(refuse, GridDensity.uniform(2), 30, 2, RandomSeed(68))
 
 
 class TestDeterministicRatio:
